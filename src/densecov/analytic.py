@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _scipy_special
 
 from . import specfun
 from .model import (
@@ -39,10 +38,8 @@ from .model import (
 # leave the integrand analytic-except-at-zero.
 _V_MAX = 28.0
 _PANEL_LEVELS = 26
+_PANEL_NODES = 24
 _MAX_NODE_DOUBLINGS = 3
-
-# Laguerre rule: scipy's node computation degrades above ~320 points.
-_LAGUERRE_MAX_ORDER = 256
 
 # Switch to the large-argument hypergeometric form once its argument exceeds
 # this; the two branches agree to ~1e-15 at the seam (tested), far inside the
@@ -80,24 +77,13 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Rule and tolerance for serving-distance expectations.
+    """Tolerance for serving-distance expectations, met by the composite
+    Gauss-Legendre scheme described above: successive node doublings must
+    agree to rel_tol."""
 
-    rule 'adaptive' is the composite Gauss-Legendre scheme described above;
-    'gauss_laguerre_transformed' maps u = pi lam x^2 onto the e^-u weight and
-    escalates the order.  The Laguerre rule converges only algebraically on
-    integrands carrying sqrt(u) terms, so at tight tolerances it reports
-    non-convergence rather than a wrong answer.
-    """
-
-    rule: str = "adaptive"
-    nodes: int = 24
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.rule not in ("adaptive", "gauss_laguerre_transformed"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if self.nodes < 16:
-            raise ValueError(f"nodes must be >= 16, got {self.nodes}")
         if not 0.0 < self.rel_tol <= 1e-7:
             raise ValueError(f"rel_tol must lie in (0, 1e-7], got {self.rel_tol}")
 
@@ -145,15 +131,6 @@ def expectation_over_serving_distance(exponent, lam: float,
     exponent must accept a distance array and return nonnegative values.
     """
     spec = spec or DEFAULT_QUADRATURE
-    if spec.rule == "gauss_laguerre_transformed":
-        if min_distance != 0.0:
-            raise ValueError("the Laguerre rule only supports min_distance = 0")
-        return _expectation_laguerre(exponent, lam, spec)
-    return _expectation_panels(exponent, lam, spec, min_distance)
-
-
-def _expectation_panels(exponent, lam: float, spec: QuadratureSpec,
-                        min_distance: float) -> float:
     sqrt_a = math.sqrt(math.pi * lam)
     v_lo = min_distance * sqrt_a
     if v_lo >= _V_MAX:
@@ -171,8 +148,8 @@ def _expectation_panels(exponent, lam: float, spec: QuadratureSpec,
         log_integrand = -(v * v) - exponent(x)
         return float(wts @ (2.0 * v * np.exp(log_integrand)))
 
-    prev = evaluate(spec.nodes)
-    nodes = spec.nodes
+    nodes = _PANEL_NODES
+    prev = evaluate(nodes)
     for _ in range(_MAX_NODE_DOUBLINGS):
         nodes *= 2
         cur = evaluate(nodes)
@@ -182,24 +159,6 @@ def _expectation_panels(exponent, lam: float, spec: QuadratureSpec,
     raise QuadratureError(
         f"adaptive rule did not reach rel_tol={spec.rel_tol:g} at lam={lam:g} "
         f"({nodes} nodes per panel)"
-    )
-
-
-def _expectation_laguerre(exponent, lam: float, spec: QuadratureSpec) -> float:
-    a = math.pi * lam
-    prev = None
-    nodes = spec.nodes
-    while nodes <= _LAGUERRE_MAX_ORDER:
-        u, w = _scipy_special.roots_laguerre(nodes)
-        x = np.sqrt(u / a)
-        cur = float(w @ np.exp(-exponent(x)))
-        if prev is not None and abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-        nodes *= 2
-    raise QuadratureError(
-        f"Laguerre rule did not reach rel_tol={spec.rel_tol:g} at lam={lam:g} "
-        f"by order {_LAGUERRE_MAX_ORDER}"
     )
 
 

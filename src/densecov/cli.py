@@ -27,6 +27,7 @@ EXIT_NUMERICAL = 3
 ASSUMED_TAU_DB = (0.0, 10.0)
 
 VALIDATE_MIN_TRIALS = 10_000
+MAX_ABS_DB = 3000.0
 _DEFAULT_VALIDATE_GRID = {
     PathlossModel.UNBOUNDED: (1e-2,),
     PathlossModel.BOUNDED_G1: (1e-3, 0.3),
@@ -132,10 +133,19 @@ def _usage_error(message: str) -> int:
 
 
 def _check_common(args, sweep: bool = True) -> str | None:
+    floats = ("alpha", "tau_db", "p_bs", "window_k", "rel_tol")
+    if sweep:
+        floats += ("lambda_min", "lambda_max")
+    for name in floats:
+        if not math.isfinite(getattr(args, name)):
+            return f"--{name.replace('_', '-')} must be finite"
     if not args.alpha > 2.0:
         return "--alpha must exceed 2"
-    if not math.isfinite(args.tau_db):
-        return "--tau-db must be finite"
+    # keeps 10^(dB/10) a positive, finite float
+    if abs(args.tau_db) > MAX_ABS_DB:
+        return f"--tau-db must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
+    if abs(args.p_bs) > MAX_ABS_DB:
+        return f"--p-bs must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
     if sweep:
         if not args.lambda_min > 0.0:
             return "--lambda-min must be positive"
@@ -145,6 +155,8 @@ def _check_common(args, sweep: bool = True) -> str | None:
             return "--points must be >= 1"
     if args.trials < 0:
         return "--trials must be >= 0"
+    if not 0 <= args.seed < 2**64:
+        return "--seed must lie in [0, 2^64)"
     if not 0.0 < args.rel_tol <= 1e-7:
         return "--rel-tol must lie in (0, 1e-7]"
     if not args.window_k > 0.0:
@@ -301,8 +313,8 @@ def cmd_validate(args) -> int:
             explicit_lams = tuple(float(tok) for tok in args.lambda_grid.split(","))
         except ValueError:
             return _usage_error("--lambda-grid must be comma-separated numbers")
-        if any(l <= 0.0 for l in explicit_lams):
-            return _usage_error("--lambda-grid densities must be positive")
+        if not all(0.0 < l < math.inf for l in explicit_lams):
+            return _usage_error("--lambda-grid densities must be positive and finite")
     else:
         explicit_lams = None
 

@@ -7,8 +7,8 @@ Poisson arrival sequence in pi*lam*r^2), drawn in fixed-size blocks of
 (gap, angle, fading) triples.  Two consequences the tests rely on:
 
   * every trial's randomness is a pure function of (seed, trial_index) via a
-    counter-based Philox stream, so serial and parallel runs agree bit for
-    bit, and
+    counter-based Philox stream, so a trial's outcome does not depend on
+    which other trials run or in what order, and
   * enlarging the window extends a realization instead of reshuffling it,
     so truncation effects can be measured on coupled samples rather than
     buried in sampling noise.
@@ -17,7 +17,6 @@ Poisson arrival sequence in pi*lam*r^2), drawn in fixed-size blocks of
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,8 @@ class ResampleLimitError(RuntimeError):
     """Window kept coming up empty; lam * pi * R^2 is far below one."""
 
 
-def window_radius(lambda_bs: float, k: float = DEFAULT_WINDOW_K,
-                  r_min: float = MIN_WINDOW_RADIUS) -> float:
-    """Simulation window R = max(r_min, k/sqrt(pi lam)), holding ~k^2 points.
+def window_radius(lambda_bs: float, k: float = DEFAULT_WINDOW_K) -> float:
+    """Simulation window R = max(1 m, k/sqrt(pi lam)), holding ~k^2 points.
 
     The default k keeps the interference lost beyond R well under the Monte
     Carlo standard error at 1e5 trials for the densities and thresholds the
@@ -45,18 +43,16 @@ def window_radius(lambda_bs: float, k: float = DEFAULT_WINDOW_K,
     """
     if not lambda_bs > 0.0:
         raise ValueError(f"lambda_bs must be positive, got {lambda_bs}")
-    return max(r_min, k / math.sqrt(math.pi * lambda_bs))
+    return max(MIN_WINDOW_RADIUS, k / math.sqrt(math.pi * lambda_bs))
 
 
 @dataclass(frozen=True)
 class SimParams:
-    """Simulation controls: window radius in meters, trial count, base seed,
-    and the documented target for the truncated interference fraction."""
+    """Simulation controls: window radius in meters, trial count, base seed."""
 
     window_radius: float
     trials: int
     seed: int
-    truncation_eps: float = 1e-3
 
     def __post_init__(self):
         if not self.window_radius > 0.0:
@@ -65,9 +61,6 @@ class SimParams:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if not 0.0 < self.truncation_eps <= 1e-2:
-            raise ValueError(
-                f"truncation_eps must lie in (0, 1e-2], got {self.truncation_eps}")
 
 
 @dataclass
@@ -129,41 +122,51 @@ def _draw_radial(rng: np.random.Generator, s_max: float):
     return (s[:n], np.concatenate(th_parts)[:n], np.concatenate(h_parts)[:n])
 
 
-def sample_network(cfg: NetworkConfig, params: SimParams,
-                   rng: np.random.Generator) -> Realization:
-    """Sample one network realization on the disk of radius window_radius.
-
-    Count is Poisson(lam pi R^2) and positions are uniform on the disk (both
-    exact properties of the radial construction).  Empty windows are redrawn
-    from the same stream: the typical user always has a serving station under
-    the heavy-load assumption.
-    """
+def _draw_window(cfg: NetworkConfig, params: SimParams, rng: np.random.Generator):
+    """(distance, angle, fading) of every station inside the window, nearest
+    first.  Empty windows are redrawn from the same stream: the typical user
+    always has a serving station under the heavy-load assumption."""
     a = math.pi * cfg.lambda_bs
     s_max = a * params.window_radius**2
     for _ in range(_RESAMPLE_LIMIT):
         s, theta, h = _draw_radial(rng, s_max)
         if s.size:
-            r = np.sqrt(s / a)
-            pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-            return Realization(pts, 0, float(r[0]), h)
+            return np.sqrt(s / a), theta, h
     raise ResampleLimitError(
         f"no station fell inside the window after {_RESAMPLE_LIMIT} redraws; "
         f"expected count is {s_max:.3g}"
     )
 
 
+def _signal_interference(model: PathlossModel, alpha: float, d: np.ndarray,
+                         fading: np.ndarray, serving: int):
+    """Received power of the serving station and the summed power of all
+    others.  Transmit power cancels between the two and never enters."""
+    received = pathloss_gain(model, alpha, d) * fading
+    signal = received[serving]
+    return signal, float(received.sum() - signal)
+
+
+def sample_network(cfg: NetworkConfig, params: SimParams,
+                   rng: np.random.Generator) -> Realization:
+    """Sample one network realization on the disk of radius window_radius.
+
+    Count is Poisson(lam pi R^2) and positions are uniform on the disk (both
+    exact properties of the radial construction).
+    """
+    r, theta, h = _draw_window(cfg, params, rng)
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    return Realization(pts, 0, float(r[0]), h)
+
+
 def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> float:
     """SIR at the origin for one realization.
 
-    Transmit power cancels between signal and interference and never enters
-    this path.  An empty interferer set yields +inf, i.e. covered at any
-    finite threshold.
+    An empty interferer set yields +inf, i.e. covered at any finite threshold.
     """
     d = np.hypot(realization.bs_points[:, 0], realization.bs_points[:, 1])
-    gains = pathloss_gain(model, alpha, d)
-    received = np.asarray(gains) * realization.fading
-    signal = received[realization.serving_index]
-    interference = float(received.sum() - signal)
+    signal, interference = _signal_interference(
+        model, alpha, d, realization.fading, realization.serving_index)
     if interference <= 0.0:
         return math.inf
     return float(signal) / interference
@@ -172,29 +175,11 @@ def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> 
 def _covered_trial(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
                    trial: int) -> bool:
     """Coverage indicator for one trial, drawing exactly the stream that
-    sample_network + sir_sample would (angles included, though the SIR only
-    needs distances); a parity test pins the equivalence."""
-    rng = trial_generator(params.seed, trial)
-    a = math.pi * cfg.lambda_bs
-    s_max = a * params.window_radius**2
-    for _ in range(_RESAMPLE_LIMIT):
-        s, _theta, h = _draw_radial(rng, s_max)
-        if s.size:
-            break
-    else:
-        raise ResampleLimitError(
-            f"no station fell inside the window after {_RESAMPLE_LIMIT} redraws; "
-            f"expected count is {s_max:.3g}"
-        )
-    received = pathloss_gain(model, cfg.alpha, np.sqrt(s / a)) * h
-    signal = received[0]
-    interference = float(received.sum()) - signal
+    sample_network + sir_sample would without building the Realization (the
+    SIR needs only distances); a parity test pins the equivalence."""
+    d, _theta, h = _draw_window(cfg, params, trial_generator(params.seed, trial))
+    signal, interference = _signal_interference(model, cfg.alpha, d, h, 0)
     return interference <= 0.0 or signal > cfg.tau * interference
-
-
-def _count_covered(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
-                   start: int, stop: int) -> int:
-    return sum(_covered_trial(cfg, model, params, t) for t in range(start, stop))
 
 
 @dataclass(frozen=True)
@@ -207,22 +192,15 @@ class SimEstimate:
     trials: int
 
 
-def estimate_cp(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
-                workers: int = 1) -> SimEstimate:
+def estimate_cp(cfg: NetworkConfig, model: PathlossModel,
+                params: SimParams) -> SimEstimate:
     """Coverage estimate: fraction of trials with SIR above the threshold.
 
-    Identical results for any worker count: trials own their substreams and
-    the reduction is an integer sum.
+    Trials own their substreams, so the covered count over trials [0, n) is
+    the count over [0, m) plus the count over [m, n).
     """
     n = params.trials
-    if workers <= 1:
-        covered = _count_covered(cfg, model, params, 0, n)
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_count_covered, cfg, model, params, int(lo), int(hi))
-                       for lo, hi in zip(bounds[:-1], bounds[1:])]
-            covered = sum(f.result() for f in futures)
+    covered = sum(_covered_trial(cfg, model, params, t) for t in range(n))
     mean = covered / n
     stderr = math.sqrt(mean * (1.0 - mean) / n)
     lo = max(0.0, mean - 1.96 * stderr)
@@ -230,11 +208,11 @@ def estimate_cp(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     return SimEstimate(mean, stderr, (lo, hi), n)
 
 
-def estimate_ase(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
-                 workers: int = 1) -> SimEstimate:
+def estimate_ase(cfg: NetworkConfig, model: PathlossModel,
+                 params: SimParams) -> SimEstimate:
     """Throughput-density estimate lam log2(1+tau) * coverage, errors scaled
     by the same factor."""
-    cp = estimate_cp(cfg, model, params, workers)
+    cp = estimate_cp(cfg, model, params)
     scale = cfg.lambda_bs * math.log2(1.0 + cfg.tau)
     return SimEstimate(scale * cp.mean, scale * cp.stderr,
                        (scale * cp.ci95[0], scale * cp.ci95[1]), cp.trials)

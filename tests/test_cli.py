@@ -1,10 +1,15 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densecov
 from densecov import cli
 from densecov.cli import SWEEP_COLUMNS, main
 
@@ -20,6 +25,14 @@ def parse_rows(text):
     return list(csv.DictReader(io.StringIO("\n".join(lines))))
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; importing it would also add about
+    # 0.3 s to every CLI start
+    env = dict(os.environ, PYTHONPATH=str(Path(densecov.__file__).resolve().parents[1]))
+    code = "import sys, densecov; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("argv", [
         ["cp-sweep", "--points", "0"],
@@ -32,6 +45,14 @@ class TestFlagValidation:
         ["optimal-density", "--model", "minb"],
         ["validate", "--model", "minb"],
         ["validate", "--lambda-grid", "1,apple"],
+        ["cp-sweep", "--alpha", "inf"],
+        ["cp-sweep", "--trials", "5", "--seed", "-1"],
+        ["cp-sweep", "--trials", "5", "--seed", "18446744073709551616"],
+        ["validate", "--lambda-grid", "nan"],
+        ["cp-sweep", "--lambda-max", "inf"],
+        ["cp-sweep", "--trials", "1", "--window-k", "inf"],
+        ["cp-sweep", "--tau-db", "4000"],
+        ["cp-sweep", "--p-bs", "-4000"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert main(argv) == cli.EXIT_USAGE
