@@ -37,6 +37,7 @@ class TestParams:
         dict(window_radius=0.0, trials=10, seed=1),
         dict(window_radius=1.0, trials=0, seed=1),
         dict(window_radius=1.0, trials=10, seed=-1),
+        dict(window_radius=1.0, trials=10, seed=2**64),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
