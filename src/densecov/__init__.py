@@ -30,15 +30,15 @@ from .analytic import (
 )
 from .mc import (
     Realization,
-    ResampleLimitError,
     SimEstimate,
     SimParams,
+    block_generator,
     estimate_ase,
     estimate_cp,
     realization_from_points,
+    sample_block,
     sample_network,
     sir_sample,
-    trial_generator,
     window_radius,
 )
 from .model import (
@@ -54,14 +54,14 @@ from .specfun import HypParams, erfc, erfcx, f1, f2, f3, hyf1, hyf2
 __all__ = [
     "AseValue", "BracketError", "ConsistencyError", "CpValue",
     "DerivedConstants", "HypParams", "NetworkConfig", "PathlossModel",
-    "QuadratureError", "QuadratureSpec", "Realization", "ResampleLimitError",
-    "ServingDistanceDist", "SimEstimate", "SimParams",
-    "UnsupportedPathlossError", "ase", "ase_lower", "ase_upper",
+    "QuadratureError", "QuadratureSpec", "Realization", "ServingDistanceDist",
+    "SimEstimate", "SimParams", "UnsupportedPathlossError", "ase", "ase_lower",
+    "ase_upper", "block_generator",
     "cp_for_model", "cp_g1_closed", "cp_g1_lower", "cp_g1_quadrature",
     "cp_g1_upper", "cp_g2", "cp_g2_lower", "cp_g2_upper", "cp_upm",
     "derived_constants", "erfc", "erfcx", "estimate_ase", "estimate_cp",
     "f1", "f2", "f3", "golden_section_max", "hyf1", "hyf2",
     "optimal_density_closed", "optimal_density_numeric", "pathloss_gain",
-    "realization_from_points", "sample_network", "scaling_envelope_check",
-    "sir_sample", "trial_generator", "window_radius",
+    "realization_from_points", "sample_block", "sample_network",
+    "scaling_envelope_check", "sir_sample", "window_radius",
 ]

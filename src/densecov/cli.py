@@ -28,6 +28,10 @@ ASSUMED_TAU_DB = (0.0, 10.0)
 
 VALIDATE_MIN_TRIALS = 10_000
 MAX_ABS_DB = 3000.0
+# a grid is allocated whole and each point costs milliseconds; a trial costs
+# tens of microseconds, so the caps bound one run to hours, not forever
+MAX_POINTS = 100_000
+MAX_TRIALS = 100_000_000
 _DEFAULT_VALIDATE_GRID = {
     PathlossModel.UNBOUNDED: (1e-2,),
     PathlossModel.BOUNDED_G1: (1e-3, 0.3),
@@ -88,8 +92,10 @@ def _common_flags(p: argparse.ArgumentParser, sweep: bool = True,
     if sweep:
         p.add_argument("--lambda-min", type=float, default=1e-6, help="BS/m^2")
         p.add_argument("--lambda-max", type=float, default=10.0, help="BS/m^2")
-        p.add_argument("--points", type=int, default=40, help="log-spaced density points")
-    p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per point (0: none)")
+        p.add_argument("--points", type=int, default=40,
+                       help=f"log-spaced density points (1 to {MAX_POINTS:,})")
+    p.add_argument("--trials", type=int, default=0,
+                   help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--window-k", type=float, default=mc.DEFAULT_WINDOW_K,
                    help="window scale: radius k/sqrt(pi lambda), ~k^2 stations")
@@ -151,10 +157,10 @@ def _check_common(args, sweep: bool = True) -> str | None:
             return "--lambda-min must be positive"
         if args.lambda_max < args.lambda_min:
             return "--lambda-max must be >= --lambda-min"
-        if args.points < 1:
-            return "--points must be >= 1"
-    if args.trials < 0:
-        return "--trials must be >= 0"
+        if not 1 <= args.points <= MAX_POINTS:
+            return f"--points must lie in [1, {MAX_POINTS}]"
+    if not 0 <= args.trials <= MAX_TRIALS:
+        return f"--trials must lie in [0, {MAX_TRIALS}]"
     if not 0 <= args.seed < 2**64:
         return "--seed must lie in [0, 2^64)"
     if not 0.0 < args.rel_tol <= 1e-7:
@@ -206,11 +212,7 @@ def _run_sweep(args, with_ase: bool) -> int:
     rows = []
     for lam in _grid(args):
         cfg = NetworkConfig(lambda_bs=float(lam), alpha=args.alpha, tau=tau, p_bs=p_bs)
-        try:
-            cp, cp_lo, cp_hi = _analytic_cp(cfg, model, spec)
-        except analytic.QuadratureError as exc:
-            print(f"error: quadrature failed at lambda={lam:g}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        cp, cp_lo, cp_hi = _analytic_cp(cfg, model, spec)
         row = SweepRow(lambda_bs=float(lam), model=args.model)
         if cp is not None:
             row.cp_analytic = cp.value
@@ -261,17 +263,10 @@ def cmd_optimal_density(args) -> int:
     spec = analytic.QuadratureSpec(rel_tol=args.rel_tol)
     template = NetworkConfig(lambda_bs=1.0, alpha=args.alpha, tau=tau, p_bs=p_bs)
     lam_closed = analytic.optimal_density_closed(args.alpha, tau)
-    try:
-        lam_num = analytic.optimal_density_numeric(
-            template, model, bracket=(args.lambda_min, args.lambda_max), spec=spec)
-        cfg_num = NetworkConfig(lam_num, args.alpha, tau, p_bs)
-        ase_num = analytic.ase(cfg_num, analytic.cp_for_model(cfg_num, model, spec)).value
-    except analytic.BracketError as exc:
-        print(f"error: bracket failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except analytic.QuadratureError as exc:
-        print(f"error: quadrature failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    lam_num = analytic.optimal_density_numeric(
+        template, model, bracket=(args.lambda_min, args.lambda_max), spec=spec)
+    cfg_num = NetworkConfig(lam_num, args.alpha, tau, p_bs)
+    ase_num = analytic.ase(cfg_num, analytic.cp_for_model(cfg_num, model, spec)).value
     cfg_closed = NetworkConfig(lam_closed, args.alpha, tau, p_bs)
     ase_at_closed = analytic.ase(
         cfg_closed, analytic.cp_for_model(cfg_closed, model, spec)).value
@@ -333,12 +328,7 @@ def cmd_validate(args) -> int:
             else _DEFAULT_VALIDATE_GRID[analytic_model]
         for lam in lams:
             cfg = NetworkConfig(lam, args.alpha, tau, p_bs)
-            try:
-                cp = analytic.cp_for_model(cfg, analytic_model, spec)
-            except analytic.QuadratureError as exc:
-                print(f"error: quadrature failed at lambda={lam:g}: {exc}",
-                      file=sys.stderr)
-                return EXIT_NUMERICAL
+            cp = analytic.cp_for_model(cfg, analytic_model, spec)
             params = mc.SimParams(window_radius=mc.window_radius(lam, args.window_k),
                                   trials=args.trials, seed=args.seed)
             est = mc.estimate_cp(cfg, mc_model, params)
@@ -367,7 +357,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ArithmeticError, RuntimeError) as exc:
+        # quadrature, bracket and series failures; nothing has been written,
+        # since every command writes its CSV only after the last row
+        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

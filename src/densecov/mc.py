@@ -2,16 +2,23 @@
 at the origin, nearest-station association, unit-mean exponential fading, and
 SIR/coverage/throughput estimation.
 
-Points are generated in radial order (squared distances are a unit-rate
-Poisson arrival sequence in pi*lam*r^2), drawn in fixed-size blocks of
-(gap, angle, fading) triples.  Two consequences the tests rely on:
+Trials run in fixed blocks of _BLOCK_TRIALS.  Block b draws from one
+counter-based Philox stream keyed by (seed, b) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), and trial t is row t % B of
+block t // B.  Within a block, stations are generated in radial order:
+squared distances are a unit-rate Poisson arrival sequence in pi*lam*r^2,
+drawn as (B, C) chunks of exponential gaps and fading gains, one row per
+trial.  Consequences the tests rely on:
 
-  * every trial's randomness is a pure function of (seed, trial_index) via a
-    counter-based Philox stream, so a trial's outcome does not depend on
-    which other trials run or in what order, and
-  * enlarging the window extends a realization instead of reshuffling it,
-    so truncation effects can be measured on coupled samples rather than
-    buried in sampling noise.
+  * whole blocks are always drawn, so a trial's outcome is a pure function
+    of (seed, trial_index) and does not depend on how many trials run;
+  * enlarging the window only adds chunks, so realizations stay coupled
+    across window sizes and truncation effects can be measured on coupled
+    samples rather than buried in sampling noise;
+  * the coverage path draws no angles (the SIR depends on distances only)
+    and keeps O(B*C) numbers in memory whatever the trial count.  Station
+    angles, needed only by the public Realization, come from a separate
+    substream of the block key and never shift the coverage draws.
 """
 
 from __future__ import annotations
@@ -23,15 +30,11 @@ import numpy as np
 
 from .model import NetworkConfig, PathlossModel, pathloss_gain
 
-_BLOCK = 256
-_RESAMPLE_LIMIT = 64
+_BLOCK_TRIALS = 64
+_CHUNK = 128
 
 DEFAULT_WINDOW_K = 24.0
 MIN_WINDOW_RADIUS = 1.0
-
-
-class ResampleLimitError(RuntimeError):
-    """Window kept coming up empty; lam * pi * R^2 is far below one."""
 
 
 def window_radius(lambda_bs: float, k: float = DEFAULT_WINDOW_K) -> float:
@@ -55,8 +58,10 @@ class SimParams:
     seed: int
 
     def __post_init__(self):
-        if not self.window_radius > 0.0:
-            raise ValueError(f"window_radius must be positive, got {self.window_radius}")
+        # an infinite window would never stop drawing stations
+        if not 0.0 < self.window_radius < math.inf:
+            raise ValueError(f"window_radius must be positive and finite, "
+                             f"got {self.window_radius}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -94,69 +99,84 @@ def realization_from_points(points, fading) -> Realization:
     return Realization(pts, idx, float(d[idx]), fad)
 
 
-def trial_generator(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based substream for one trial, keyed by (seed, trial_index)."""
-    key = np.array([seed, trial_index], dtype=np.uint64)
+def block_generator(seed: int, block: int) -> np.random.Generator:
+    """Counter-based stream for one block of trials, keyed by (seed, block)."""
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_radial(rng: np.random.Generator, s_max: float):
-    """Draw (sorted squared-distance scale, angle, fading) triples blockwise
-    until the radial arrival process passes s_max.  The block layout is fixed
-    so a larger window replays the same prefix."""
-    s_parts, th_parts, h_parts = [], [], []
-    carry = 0.0
-    while True:
-        gaps = rng.standard_exponential(_BLOCK)
-        theta = rng.uniform(0.0, 2.0 * math.pi, _BLOCK)
-        h = rng.standard_exponential(_BLOCK)
-        s = carry + np.cumsum(gaps)
-        s_parts.append(s)
-        th_parts.append(theta)
-        h_parts.append(h)
-        carry = s[-1]
-        if carry > s_max:
-            break
-    s = np.concatenate(s_parts)
-    n = int(np.searchsorted(s, s_max, side="right"))
-    return (s[:n], np.concatenate(th_parts)[:n], np.concatenate(h_parts)[:n])
+def _radial_chunks(rng: np.random.Generator, s_max: float):
+    """Yield a block's stations in radial order as (squared-distance scale,
+    fading) arrays with one row per trial: first the (B, 1) serving
+    stations, then (B, C) chunks of the rest until every row passes s_max.
+    Entries beyond s_max are left for the caller to mask.
+
+    The first arrival is drawn from its law given a non-empty window, the
+    exponential truncated at s_max, by inverting its CDF; that is the law of
+    redrawing until a station falls inside, without the redraws.  When
+    -expm1(-s_max) rounds to 1 (the default window) it is bit-equal to the
+    untruncated inverse-CDF draw.  The later arrivals do not depend on the
+    first beyond starting from it.
+    """
+    s = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
+    yield s[:, None], rng.standard_exponential((_BLOCK_TRIALS, 1))
+    while s.min() <= s_max:
+        chunk = s[:, None] + np.cumsum(
+            rng.standard_exponential((_BLOCK_TRIALS, _CHUNK)), axis=1)
+        yield chunk, rng.standard_exponential((_BLOCK_TRIALS, _CHUNK))
+        s = chunk[:, -1]
 
 
-def _draw_window(cfg: NetworkConfig, params: SimParams, rng: np.random.Generator):
-    """(distance, angle, fading) of every station inside the window, nearest
-    first.  Empty windows are redrawn from the same stream: the typical user
-    always has a serving station under the heavy-load assumption."""
+def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
+                   block: int) -> np.ndarray:
+    """Coverage indicator of every trial in one block.  Received powers are
+    summed chunk by chunk, so the working set is one (B, C) chunk; transmit
+    power cancels between signal and interference and never enters."""
     a = math.pi * cfg.lambda_bs
     s_max = a * params.window_radius**2
-    for _ in range(_RESAMPLE_LIMIT):
-        s, theta, h = _draw_radial(rng, s_max)
-        if s.size:
-            return np.sqrt(s / a), theta, h
-    raise ResampleLimitError(
-        f"no station fell inside the window after {_RESAMPLE_LIMIT} redraws; "
-        f"expected count is {s_max:.3g}"
-    )
+    chunks = _radial_chunks(block_generator(params.seed, block), s_max)
+    s, h = next(chunks)
+    signal = pathloss_gain(model, cfg.alpha, np.sqrt(s[:, 0] / a)) * h[:, 0]
+    interference = np.zeros(_BLOCK_TRIALS)
+    for s, h in chunks:
+        received = pathloss_gain(model, cfg.alpha, np.sqrt(s / a)) * h
+        received[s > s_max] = 0.0
+        interference += received.sum(axis=1)
+    # a trial with no interferer is covered at any finite threshold
+    return (interference <= 0.0) | (signal > cfg.tau * interference)
 
 
-def _signal_interference(model: PathlossModel, alpha: float, d: np.ndarray,
-                         fading: np.ndarray, serving: int):
-    """Received power of the serving station and the summed power of all
-    others.  Transmit power cancels between the two and never enters."""
-    received = pathloss_gain(model, alpha, d) * fading
-    signal = received[serving]
-    return signal, float(received.sum() - signal)
+def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Realization]:
+    """The realizations of trials [block*B, (block+1)*B), drawn from the same
+    stream as the coverage kernel, on the disk of radius window_radius.
 
-
-def sample_network(cfg: NetworkConfig, params: SimParams,
-                   rng: np.random.Generator) -> Realization:
-    """Sample one network realization on the disk of radius window_radius.
-
-    Count is Poisson(lam pi R^2) and positions are uniform on the disk (both
-    exact properties of the radial construction).
+    Each count is Poisson(lam pi R^2) conditioned on at least one station,
+    and positions are uniform on the disk (exact properties of the radial
+    construction).  Angles come from the block key's second substream.
     """
-    r, theta, h = _draw_window(cfg, params, rng)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    return Realization(pts, 0, float(r[0]), h)
+    a = math.pi * cfg.lambda_bs
+    s_max = a * params.window_radius**2
+    rng = block_generator(params.seed, block)
+    # jumped() leaves rng as it is: the angles' substream starts 2^128 draws on
+    angle_rng = np.random.Generator(rng.bit_generator.jumped())
+    parts = [(s, h, angle_rng.uniform(0.0, 2.0 * math.pi, s.shape))
+             for s, h in _radial_chunks(rng, s_max)]
+    s, h, theta = (np.concatenate(x, axis=1) for x in zip(*parts))
+    r = np.sqrt(s / a)
+    # the serving station is always in: its draw may round just past s_max
+    counts = 1 + np.count_nonzero(s[:, 1:] <= s_max, axis=1)
+    out = []
+    for row, n in enumerate(counts):
+        pts = np.column_stack([r[row, :n] * np.cos(theta[row, :n]),
+                               r[row, :n] * np.sin(theta[row, :n])])
+        out.append(Realization(pts, 0, float(r[row, 0]), h[row, :n].copy()))
+    return out
+
+
+def sample_network(cfg: NetworkConfig, params: SimParams, trial: int) -> Realization:
+    """The realization of one trial; draws its whole block, so callers that
+    walk many trials should use sample_block."""
+    return sample_block(cfg, params, trial // _BLOCK_TRIALS)[trial % _BLOCK_TRIALS]
 
 
 def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> float:
@@ -165,21 +185,12 @@ def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> 
     An empty interferer set yields +inf, i.e. covered at any finite threshold.
     """
     d = np.hypot(realization.bs_points[:, 0], realization.bs_points[:, 1])
-    signal, interference = _signal_interference(
-        model, alpha, d, realization.fading, realization.serving_index)
+    received = pathloss_gain(model, alpha, d) * realization.fading
+    signal = received[realization.serving_index]
+    interference = float(received.sum() - signal)
     if interference <= 0.0:
         return math.inf
     return float(signal) / interference
-
-
-def _covered_trial(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
-                   trial: int) -> bool:
-    """Coverage indicator for one trial, drawing exactly the stream that
-    sample_network + sir_sample would without building the Realization (the
-    SIR needs only distances); a parity test pins the equivalence."""
-    d, _theta, h = _draw_window(cfg, params, trial_generator(params.seed, trial))
-    signal, interference = _signal_interference(model, cfg.alpha, d, h, 0)
-    return interference <= 0.0 or signal > cfg.tau * interference
 
 
 @dataclass(frozen=True)
@@ -196,11 +207,15 @@ def estimate_cp(cfg: NetworkConfig, model: PathlossModel,
                 params: SimParams) -> SimEstimate:
     """Coverage estimate: fraction of trials with SIR above the threshold.
 
-    Trials own their substreams, so the covered count over trials [0, n) is
-    the count over [0, m) plus the count over [m, n).
+    Every block is drawn whole and the last one cut to length, so the
+    covered count over trials [0, n) is the count over [0, m) plus the count
+    over [m, n).
     """
     n = params.trials
-    covered = sum(_covered_trial(cfg, model, params, t) for t in range(n))
+    covered = 0
+    for block in range(-(-n // _BLOCK_TRIALS)):
+        hits = _covered_block(cfg, model, params, block)
+        covered += int(np.count_nonzero(hits[:n - block * _BLOCK_TRIALS]))
     mean = covered / n
     stderr = math.sqrt(mean * (1.0 - mean) / n)
     lo = max(0.0, mean - 1.96 * stderr)

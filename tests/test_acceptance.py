@@ -49,6 +49,15 @@ def mc_params(lam, trials, k=mc.DEFAULT_WINDOW_K):
     return mc.SimParams(window_radius=mc.window_radius(lam, k), trials=trials, seed=SEED)
 
 
+def mc_realizations(cfg, params, start, stop):
+    """Public realizations of trials [start, stop), drawn block by block."""
+    size = mc._BLOCK_TRIALS
+    for block in range(start // size, -(-stop // size)):
+        for t, r in enumerate(mc.sample_block(cfg, params, block), start=block * size):
+            if start <= t < stop:
+                yield r
+
+
 @pytest.fixture(scope="module")
 def cp_grids():
     """cp_g1 (closed/quadrature/bounds) and cp_g2 (+upper) on the 40-point
@@ -285,8 +294,7 @@ def test_criterion_09_simulator_soundness():
     params = mc_params(lam, 1)
     cfg = cfg_at(lam)
     d2 = np.sort(np.array([
-        mc.sample_network(cfg, params, mc.trial_generator(SEED, t)).serving_distance**2
-        for t in range(10_000)]))
+        r.serving_distance**2 for r in mc_realizations(cfg, params, 0, 10_000)]))
     model_cdf = -np.expm1(-math.pi * lam * d2)
     n = d2.size
     ecdf_hi = np.arange(1, n + 1) / n
@@ -310,17 +318,16 @@ def test_criterion_09_simulator_soundness():
             assert shifts[-1] < 1.0, (model, lam_pt, shifts[-1])
 
     # each trial's outcome is a pure function of (seed, trial index):
-    # doubling the trial count adds exactly the outcomes of trials [n, 2n)
+    # doubling the trial count adds exactly the outcomes of trials [n, 2n),
+    # with n inside a block
     n, cfg_pt, model = 400, cfg_at(0.3), PathlossModel.BOUNDED_G1
     covered_n = mc.estimate_cp(cfg_pt, model, mc_params(0.3, n)).mean * n
     covered_2n = mc.estimate_cp(cfg_pt, model, mc_params(0.3, 2 * n)).mean * 2 * n
-    added = sum(
-        mc.sir_sample(mc.sample_network(cfg_pt, mc_params(0.3, 1), mc.trial_generator(SEED, t)),
-                      model, cfg_pt.alpha) > cfg_pt.tau
-        for t in range(n, 2 * n))
+    added = sum(mc.sir_sample(r, model, cfg_pt.alpha) > cfg_pt.tau
+                for r in mc_realizations(cfg_pt, mc_params(0.3, 1), n, 2 * n))
     assert round(covered_2n) - round(covered_n) == added
     print(f"criterion 9: PASS - KS = {ks:.4f} < 0.02, max window-doubling shift "
-          f"= {max(shifts):.2f} se, trial outcomes keyed by (seed, trial)")
+          f"= {max(shifts):.2f} se, trial outcomes keyed by (seed, block)")
 
 
 def test_criterion_10_transmit_power_invariance():
@@ -338,7 +345,7 @@ def test_criterion_10_transmit_power_invariance():
     assert mc_outputs[0] == mc_outputs[1] == mc_outputs[2]
     sample_sirs = []
     for c in configs:
-        r = mc.sample_network(c, mc_params(0.3, 1), mc.trial_generator(SEED, 0))
+        r = mc.sample_network(c, mc_params(0.3, 1), 0)
         sample_sirs.append(mc.sir_sample(r, PathlossModel.BOUNDED_G1, c.alpha))
     assert sample_sirs[0] == sample_sirs[1] == sample_sirs[2]
     print("criterion 10: PASS - analytic and simulated outputs bit-identical "

@@ -33,6 +33,16 @@ def test_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(densecov.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "densecov", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0 and "cp-sweep" in run.stdout
+    # the entry module runs only under -m, never on import
+    code = "import sys, densecov; sys.exit('densecov.__main__' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("argv", [
         ["cp-sweep", "--points", "0"],
@@ -53,9 +63,20 @@ class TestFlagValidation:
         ["cp-sweep", "--trials", "1", "--window-k", "inf"],
         ["cp-sweep", "--tau-db", "4000"],
         ["cp-sweep", "--p-bs", "-4000"],
+        ["cp-sweep", "--points", "100000000000000000000"],
+        ["cp-sweep", "--trials", "100000000000000000000"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert main(argv) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["cp-sweep", "--model", "g2", "--alpha", "100"],       # hypergeometric tail sum
+        ["cp-sweep", "--lambda-min", "1e299", "--lambda-max", "1e300"],  # erfc fraction
+    ])
+    def test_numerical_failures_exit_3(self, capsys, argv):
+        assert main(argv) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_unknown_model_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -7,24 +7,39 @@ import pytest
 from densecov import analytic, mc
 from densecov.mc import (
     Realization,
-    ResampleLimitError,
     SimParams,
+    block_generator,
     estimate_ase,
     estimate_cp,
     realization_from_points,
+    sample_block,
     sample_network,
     sir_sample,
-    trial_generator,
     window_radius,
 )
 from densecov.model import NetworkConfig, PathlossModel
 
 CFG = NetworkConfig(lambda_bs=0.3, alpha=4.0, tau=10.0)
 CFG_LAM1 = NetworkConfig(lambda_bs=1.0, alpha=4.0, tau=10.0)
+B = mc._BLOCK_TRIALS
 
 
 def params_for(lam, trials, seed=42, k=mc.DEFAULT_WINDOW_K):
     return SimParams(window_radius=window_radius(lam, k), trials=trials, seed=seed)
+
+
+def realizations(cfg, params, start, stop):
+    """Realizations of trials [start, stop), drawn block by block."""
+    for block in range(start // B, -(-stop // B)):
+        for t, r in enumerate(sample_block(cfg, params, block), start=block * B):
+            if start <= t < stop:
+                yield r
+
+
+def public_outcomes(cfg, model, params, start, stop):
+    """Coverage of trials [start, stop) through sample_block + sir_sample."""
+    return [sir_sample(r, model, cfg.alpha) > cfg.tau
+            for r in realizations(cfg, params, start, stop)]
 
 
 class TestParams:
@@ -38,6 +53,7 @@ class TestParams:
         dict(window_radius=1.0, trials=0, seed=1),
         dict(window_radius=1.0, trials=10, seed=-1),
         dict(window_radius=1.0, trials=10, seed=2**64),
+        dict(window_radius=math.inf, trials=10, seed=1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -46,9 +62,9 @@ class TestParams:
 
 class TestSampleNetwork:
     def test_fixed_seed_reproduces_realization(self):
-        params = params_for(0.3, 1)
-        r1 = sample_network(CFG, params, trial_generator(7, 0))
-        r2 = sample_network(CFG, params, trial_generator(7, 0))
+        params = params_for(0.3, 1, seed=7)
+        r1 = sample_network(CFG, params, 0)
+        r2 = sample_network(CFG, params, 0)
         assert np.array_equal(r1.bs_points, r2.bs_points)
         assert np.array_equal(r1.fading, r2.fading)
         assert r1.serving_index == r2.serving_index == 0
@@ -57,18 +73,16 @@ class TestSampleNetwork:
         # window sized so lam * pi * R^2 = 100
         R = math.sqrt(100.0 / math.pi)
         params = SimParams(window_radius=R, trials=1, seed=3)
-        counts = [sample_network(CFG_LAM1, params, trial_generator(3, t)).bs_points.shape[0]
-                  for t in range(10_000)]
+        counts = [r.bs_points.shape[0] for r in realizations(CFG_LAM1, params, 0, 10_000)]
         mean = float(np.mean(counts))
         assert abs(mean - 100.0) <= 3.0 * math.sqrt(100.0 / 10_000.0)
 
     def test_serving_distance_squared_is_exponential(self):
         # d0^2 ~ Exp(rate pi lam); compare first moments at modest sample size
         lam = 0.5
-        params = params_for(lam, 1)
+        params = params_for(lam, 1, seed=11)
         cfg = NetworkConfig(lam, 4.0, 10.0)
-        d2 = np.array([sample_network(cfg, params, trial_generator(11, t)).serving_distance**2
-                       for t in range(2000)])
+        d2 = np.array([r.serving_distance**2 for r in realizations(cfg, params, 0, 2000)])
         expected = 1.0 / (math.pi * lam)
         assert abs(d2.mean() - expected) <= 4.0 * expected / math.sqrt(2000.0)
 
@@ -77,18 +91,34 @@ class TestSampleNetwork:
         # comparisons are coupled rather than independent draws
         p_small = params_for(0.3, 1)
         p_big = SimParams(window_radius=2.0 * p_small.window_radius, trials=1, seed=42)
-        r_small = sample_network(CFG, p_small, trial_generator(42, 5))
-        r_big = sample_network(CFG, p_big, trial_generator(42, 5))
+        r_small = sample_network(CFG, p_small, 5)
+        r_big = sample_network(CFG, p_big, 5)
         n = r_small.bs_points.shape[0]
         assert r_big.bs_points.shape[0] > n
         assert np.array_equal(r_big.bs_points[:n], r_small.bs_points)
         assert np.array_equal(r_big.fading[:n], r_small.fading)
 
-    def test_resample_limit_signals_misconfigured_window(self):
-        tiny = SimParams(window_radius=0.01, trials=1, seed=1)
-        cfg = NetworkConfig(1e-4, 4.0, 10.0)
-        with pytest.raises(ResampleLimitError):
-            sample_network(cfg, tiny, trial_generator(1, 0))
+    def test_sparse_window_always_has_a_serving_station(self):
+        # expected count lam pi R^2 = 1e-3: the first arrival comes from its
+        # law given a non-empty window, Exp(1) truncated at s_max in pi lam d^2
+        lam, s_max, n = 1e-4, 1e-3, 2000
+        params = SimParams(window_radius=math.sqrt(s_max / (math.pi * lam)), trials=1, seed=1)
+        cfg = NetworkConfig(lam, 4.0, 10.0)
+        rs = list(realizations(cfg, params, 0, n))
+        assert len(rs) == n and all(r.bs_points.shape[0] >= 1 for r in rs)
+        s = math.pi * lam * np.array([r.serving_distance**2 for r in rs])
+        expected = 1.0 - s_max / math.expm1(s_max)
+        # the law is nearly uniform on [0, s_max], and its deviation is below
+        # the uniform's s_max / sqrt(12)
+        assert abs(s.mean() - expected) <= 4.0 * s_max / math.sqrt(12.0 * n)
+
+    def test_default_window_first_arrival_is_untruncated_inverse_cdf(self):
+        # -expm1(-576) rounds to 1, so the truncated draw is bit-equal to
+        # inverting the plain exponential CDF at the same uniforms
+        s_max = mc.DEFAULT_WINDOW_K**2
+        s0, _ = next(mc._radial_chunks(block_generator(42, 0), s_max))
+        u = block_generator(42, 0).random(B)
+        assert np.array_equal(s0[:, 0], -np.log1p(-u))
 
     def test_realization_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -130,29 +160,31 @@ class TestEstimates:
 
     def test_trial_outcome_depends_only_on_seed_and_trial_index(self):
         # doubling the trial count adds exactly the outcomes of trials
-        # [n, 2n), each drawn on its own (seed, t) stream
+        # [n, 2n); n is not a multiple of the block size, so [n, 2n) starts
+        # and ends inside a block
         n = 300
         model = PathlossModel.BOUNDED_G1
         est_n = estimate_cp(CFG, model, params_for(0.3, n))
         est_2n = estimate_cp(CFG, model, params_for(0.3, 2 * n))
-        params = params_for(0.3, 1)
-        added = sum(
-            sir_sample(sample_network(CFG, params, trial_generator(params.seed, t)),
-                       model, CFG.alpha) > CFG.tau
-            for t in range(n, 2 * n))
+        added = sum(public_outcomes(CFG, model, params_for(0.3, 1), n, 2 * n))
         assert round(est_2n.mean * 2 * n) - round(est_n.mean * n) == added
+
+    @pytest.mark.parametrize("n", [1, B - 1, B + 1, 2 * B + 5])
+    def test_last_block_is_cut_to_the_requested_trials(self, n):
+        model = PathlossModel.BOUNDED_G2
+        est = estimate_cp(CFG, model, params_for(0.3, n))
+        assert est.trials == n
+        assert round(est.mean * n) == sum(public_outcomes(CFG, model, params_for(0.3, 1), 0, n))
 
     @pytest.mark.parametrize("model", list(PathlossModel))
     def test_fast_path_parity_with_public_sampling(self, model):
-        # estimate_cp skips building Realization objects; its per-trial
-        # indicator must match the public sample/SIR route draw for draw
-        from densecov.mc import _covered_trial
+        # the coverage kernel skips angles and Realization objects; its
+        # per-trial indicator must match the public sample/SIR route draw
+        # for draw
         params = params_for(0.3, 1)
-        for trial in range(300):
-            rng = trial_generator(params.seed, trial)
-            realization = sample_network(CFG, params, rng)
-            slow = sir_sample(realization, model, CFG.alpha) > CFG.tau
-            assert _covered_trial(CFG, model, params, trial) == slow
+        fast = np.concatenate([mc._covered_block(CFG, model, params, block)
+                               for block in range(-(-300 // B))])[:300]
+        assert fast.tolist() == public_outcomes(CFG, model, params, 0, 300)
 
     def test_matches_analytic_coverage(self):
         # smoke-level cross-checks; the full 1e5-trial grid runs in acceptance
