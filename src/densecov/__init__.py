@@ -9,7 +9,6 @@ from .analytic import (
     ConsistencyError,
     CpValue,
     QuadratureError,
-    QuadratureSpec,
     UnsupportedPathlossError,
     ase,
     ase_lower,
@@ -54,7 +53,7 @@ from .specfun import HypParams, erfc, erfcx, f1, f2, f3, hyf1, hyf2
 __all__ = [
     "AseValue", "BracketError", "ConsistencyError", "CpValue",
     "DerivedConstants", "HypParams", "NetworkConfig", "PathlossModel",
-    "QuadratureError", "QuadratureSpec", "Realization", "ServingDistanceDist",
+    "QuadratureError", "Realization", "ServingDistanceDist",
     "SimEstimate", "SimParams", "UnsupportedPathlossError", "ase", "ase_lower",
     "ase_upper", "block_generator",
     "cp_for_model", "cp_g1_closed", "cp_g1_lower", "cp_g1_quadrature",

@@ -40,6 +40,8 @@ _V_MAX = 28.0
 _PANEL_LEVELS = 26
 _PANEL_NODES = 24
 _MAX_NODE_DOUBLINGS = 3
+# successive node doublings must agree to this relative tolerance
+_REL_TOL = 1e-9
 
 # Switch to the large-argument hypergeometric form once its argument exceeds
 # this; the two branches agree to ~1e-15 at the seam (tested), far inside the
@@ -47,6 +49,9 @@ _MAX_NODE_DOUBLINGS = 3
 _Y_CROSSOVER = 1e6
 
 _EQ_CONSISTENCY_TOL = 1e-6
+
+# log-spaced points of the coarse scan that brackets the peak of an objective
+_SCAN_POINTS = 16
 
 
 class QuadratureError(RuntimeError):
@@ -73,22 +78,6 @@ class UnsupportedPathlossError(ValueError):
 
 class BracketError(RuntimeError):
     """Search bracket does not contain an interior maximum."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance for serving-distance expectations, met by the composite
-    Gauss-Legendre scheme described above: successive node doublings must
-    agree to rel_tol."""
-
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-7:
-            raise ValueError(f"rel_tol must lie in (0, 1e-7], got {self.rel_tol}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,6 @@ def _cp(raw: float, method: str) -> CpValue:
 # ---------------------------------------------------------------------------
 
 def expectation_over_serving_distance(exponent, lam: float,
-                                      spec: QuadratureSpec | None = None,
                                       min_distance: float = 0.0) -> float:
     """E[exp(-exponent(x))] over the serving distance x, optionally restricted
     to x >= min_distance (the restricted form is the plain tail integral, not
@@ -130,7 +118,6 @@ def expectation_over_serving_distance(exponent, lam: float,
 
     exponent must accept a distance array and return nonnegative values.
     """
-    spec = spec or DEFAULT_QUADRATURE
     sqrt_a = math.sqrt(math.pi * lam)
     v_lo = min_distance * sqrt_a
     if v_lo >= _V_MAX:
@@ -153,11 +140,11 @@ def expectation_over_serving_distance(exponent, lam: float,
     for _ in range(_MAX_NODE_DOUBLINGS):
         nodes *= 2
         cur = evaluate(nodes)
-        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise QuadratureError(
-        f"adaptive rule did not reach rel_tol={spec.rel_tol:g} at lam={lam:g} "
+        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lam:g} "
         f"({nodes} nodes per panel)"
     )
 
@@ -189,8 +176,12 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     delta = 2.0 / alpha
     b = 1.0 - delta
     p = specfun.HypParams(delta)
-    xa = x**alpha
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore"):
+        xa = x**alpha
+    if np.any(np.isinf(xa)):
+        raise OverflowError(f"x^alpha overflows at alpha={alpha:g}, lam={lam:g}")
+    # y = inf where x^a underflows is the x -> 0 limit the limiting branch takes
+    with np.errstate(divide="ignore", over="ignore"):
         y = (1.0 + tau * (1.0 + xa)) / xa
     out = np.empty_like(x)
     direct = y <= _Y_CROSSOVER
@@ -226,18 +217,17 @@ def cp_upm(cfg: NetworkConfig) -> CpValue:
     return _cp(1.0 / (1.0 + dc.c1), "closed_form")
 
 
-def cp_g1_quadrature(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> CpValue:
+def cp_g1_quadrature(cfg: NetworkConfig) -> CpValue:
     """Ground truth for the additive-offset bounded model: direct expectation
     of exp(-pi lam (1+x)(c1 (1+x) - c2))."""
     dc = derived_constants(cfg.alpha, cfg.tau)
     lam = cfg.lambda_bs
     val = expectation_over_serving_distance(
-        lambda x: _exponent_g1(x, lam, dc), lam, spec)
+        lambda x: _exponent_g1(x, lam, dc), lam)
     return _cp(val, "quadrature")
 
 
-def cp_g1_closed(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
-                 verify: bool = True) -> CpValue:
+def cp_g1_closed(cfg: NetworkConfig, verify: bool = True) -> CpValue:
     """Closed form of the additive-offset coverage, evaluated as printed
     (complete-the-square Gaussian identity with an erfc(-z) - 2 factor).
 
@@ -262,7 +252,7 @@ def cp_g1_closed(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
                      / (2.0 * (1.0 + c1) ** 1.5))
         raw += prefactor * tail_factor
     if verify:
-        quad = cp_g1_quadrature(cfg, spec)
+        quad = cp_g1_quadrature(cfg)
         if abs(raw - quad.raw) > _EQ_CONSISTENCY_TOL:
             raise ConsistencyError(raw, quad.raw, _EQ_CONSISTENCY_TOL)
     return _cp(raw, "closed_form")
@@ -288,15 +278,15 @@ def cp_g1_upper(cfg: NetworkConfig) -> CpValue:
     return _cp(_quadratic_gain_expectation(cfg.lambda_bs, dc.c_hat), "closed_form")
 
 
-def cp_g2(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> CpValue:
+def cp_g2(cfg: NetworkConfig) -> CpValue:
     """Coverage under the inverse-polynomial bounded law, by quadrature."""
     lam = cfg.lambda_bs
     val = expectation_over_serving_distance(
-        lambda x: _exponent_g2(x, lam, cfg.alpha, cfg.tau), lam, spec)
+        lambda x: _exponent_g2(x, lam, cfg.alpha, cfg.tau), lam)
     return _cp(val, "quadrature")
 
 
-def cp_g2_lower(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> CpValue:
+def cp_g2_lower(cfg: NetworkConfig) -> CpValue:
     """Lower bound for the inverse-polynomial law: tail integral over
     x >= 1 of exp(-pi lam c1 2^(a-2) (1+x)^2).
 
@@ -307,8 +297,7 @@ def cp_g2_lower(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> CpVal
     dc = derived_constants(cfg.alpha, cfg.tau)
     lam = cfg.lambda_bs
     val = expectation_over_serving_distance(
-        lambda x: _exponent_g2_lower(x, lam, cfg.alpha, dc), lam, spec,
-        min_distance=1.0)
+        lambda x: _exponent_g2_lower(x, lam, cfg.alpha, dc), lam, min_distance=1.0)
     return _cp(val, "quadrature")
 
 
@@ -320,16 +309,15 @@ def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
     return _cp(raw, "closed_form")
 
 
-def cp_for_model(cfg: NetworkConfig, model: PathlossModel,
-                 spec: QuadratureSpec | None = None) -> CpValue:
+def cp_for_model(cfg: NetworkConfig, model: PathlossModel) -> CpValue:
     """Analytic coverage dispatcher; quadrature is authoritative for the
     bounded models.  The min(1, d^-alpha) law is simulation-only."""
     if model is PathlossModel.UNBOUNDED:
         return cp_upm(cfg)
     if model is PathlossModel.BOUNDED_G1:
-        return cp_g1_quadrature(cfg, spec)
+        return cp_g1_quadrature(cfg)
     if model is PathlossModel.BOUNDED_G2:
-        return cp_g2(cfg, spec)
+        return cp_g2(cfg)
     raise UnsupportedPathlossError(
         "min(1, d^-alpha) has no analytic coverage expression; use the simulator"
     )
@@ -386,8 +374,7 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
     return 2.0**alpha / (math.pi * dc.c_hat)
 
 
-def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6,
-                       scan_points: int = 16) -> float:
+def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
     """Derivative-free maximizer of a unimodal positive-argument function.
 
     Works on log-density so rel_tol bounds |lam - lam*|/lam*.  A coarse scan
@@ -396,10 +383,10 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6,
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    grid = np.geomspace(lo, hi, scan_points)
+    grid = np.geomspace(lo, hi, _SCAN_POINTS)
     vals = [fn(g) for g in grid]
     imax = int(np.argmax(vals))
-    if imax in (0, scan_points - 1):
+    if imax in (0, _SCAN_POINTS - 1):
         # probe just inside the edge before declaring the bracket bad
         if imax == 0:
             probe = grid[0] * (grid[1] / grid[0]) ** 0.1
@@ -434,9 +421,7 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6,
 
 
 def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
-                            bracket: tuple[float, float] = (1e-4, 10.0),
-                            rel_tol: float = 1e-6,
-                            spec: QuadratureSpec | None = None) -> float:
+                            bracket: tuple[float, float] = (1e-4, 10.0)) -> float:
     """Golden-section argmax of the exact throughput density for a model.
 
     With the unbounded law the objective is linear in density, so the search
@@ -449,9 +434,9 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
 
     def objective(lam: float) -> float:
         cfg = dataclasses.replace(cfg_template, lambda_bs=lam)
-        return ase(cfg, cp_for_model(cfg, model, spec)).value
+        return ase(cfg, cp_for_model(cfg, model)).value
 
-    return golden_section_max(objective, bracket[0], bracket[1], rel_tol)
+    return golden_section_max(objective, bracket[0], bracket[1])
 
 
 # ---------------------------------------------------------------------------

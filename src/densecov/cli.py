@@ -97,11 +97,7 @@ def _common_flags(p: argparse.ArgumentParser, sweep: bool = True,
     p.add_argument("--trials", type=int, default=0,
                    help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--window-k", type=float, default=mc.DEFAULT_WINDOW_K,
-                   help="window scale: radius k/sqrt(pi lambda), ~k^2 stations")
     p.add_argument("--output", default="stdout", help="CSV destination path or 'stdout'")
-    p.add_argument("--rel-tol", type=float, default=1e-9,
-                   help="quadrature relative tolerance (<= 1e-7)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,7 +135,7 @@ def _usage_error(message: str) -> int:
 
 
 def _check_common(args, sweep: bool = True) -> str | None:
-    floats = ("alpha", "tau_db", "p_bs", "window_k", "rel_tol")
+    floats = ("alpha", "tau_db", "p_bs")
     if sweep:
         floats += ("lambda_min", "lambda_max")
     for name in floats:
@@ -163,10 +159,6 @@ def _check_common(args, sweep: bool = True) -> str | None:
         return f"--trials must lie in [0, {MAX_TRIALS}]"
     if not 0 <= args.seed < 2**64:
         return "--seed must lie in [0, 2^64)"
-    if not 0.0 < args.rel_tol <= 1e-7:
-        return "--rel-tol must lie in (0, 1e-7]"
-    if not args.window_k > 0.0:
-        return "--window-k must be positive"
     return None
 
 
@@ -181,23 +173,23 @@ def _header_lines(args, command: str) -> list[str]:
     return [
         f"# densecov {command}: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
         f"p_bs_dbm={_fmt(args.p_bs)} model={args.model} seed={args.seed} "
-        f"trials={args.trials} window_k={_fmt(args.window_k)} rel_tol={_fmt(args.rel_tol)}",
+        f"trials={args.trials} window_k={_fmt(mc.WINDOW_K)} rel_tol={_fmt(analytic._REL_TOL)}",
         f"# reference curves assume SIR thresholds of {{{assumed}}} dB; "
         f"this run uses tau_db={_fmt(args.tau_db)}",
         ",".join(SWEEP_COLUMNS),
     ]
 
 
-def _analytic_cp(cfg, model, spec):
+def _analytic_cp(cfg, model):
     """Coverage, bounds, and envelopes for one grid point; None where the
     model has no analytic expression."""
     if model is PathlossModel.MIN_BOUNDED:
         return None, None, None
-    cp = analytic.cp_for_model(cfg, model, spec)
+    cp = analytic.cp_for_model(cfg, model)
     if model is PathlossModel.BOUNDED_G1:
         return cp, analytic.cp_g1_lower(cfg), analytic.cp_g1_upper(cfg)
     if model is PathlossModel.BOUNDED_G2:
-        return cp, analytic.cp_g2_lower(cfg, spec), analytic.cp_g2_upper(cfg)
+        return cp, analytic.cp_g2_lower(cfg), analytic.cp_g2_upper(cfg)
     return cp, None, None
 
 
@@ -208,11 +200,10 @@ def _run_sweep(args, with_ase: bool) -> int:
     model = PathlossModel.from_tag(args.model)
     tau = db_to_linear(args.tau_db)
     p_bs = db_to_linear(args.p_bs)
-    spec = analytic.QuadratureSpec(rel_tol=args.rel_tol)
     rows = []
     for lam in _grid(args):
         cfg = NetworkConfig(lambda_bs=float(lam), alpha=args.alpha, tau=tau, p_bs=p_bs)
-        cp, cp_lo, cp_hi = _analytic_cp(cfg, model, spec)
+        cp, cp_lo, cp_hi = _analytic_cp(cfg, model)
         row = SweepRow(lambda_bs=float(lam), model=args.model)
         if cp is not None:
             row.cp_analytic = cp.value
@@ -228,7 +219,7 @@ def _run_sweep(args, with_ase: bool) -> int:
             row.rate_function = lam * math.exp(-dc.kappa_upper * lam)
         if args.trials > 0:
             params = mc.SimParams(
-                window_radius=mc.window_radius(float(lam), args.window_k),
+                window_radius=mc.window_radius(float(lam)),
                 trials=args.trials, seed=args.seed)
             est = mc.estimate_cp(cfg, model, params)
             row.cp_mc_mean = est.mean
@@ -258,18 +249,19 @@ def cmd_optimal_density(args) -> int:
     model = PathlossModel.from_tag(args.model)
     if model is PathlossModel.MIN_BOUNDED:
         return _usage_error("--model minb has no analytic ASE curve to maximize")
+    # a search needs an interval; sweeps accept a single density
+    if not args.lambda_max > args.lambda_min:
+        return _usage_error("--lambda-max must exceed --lambda-min for optimal-density")
     tau = db_to_linear(args.tau_db)
     p_bs = db_to_linear(args.p_bs)
-    spec = analytic.QuadratureSpec(rel_tol=args.rel_tol)
     template = NetworkConfig(lambda_bs=1.0, alpha=args.alpha, tau=tau, p_bs=p_bs)
     lam_closed = analytic.optimal_density_closed(args.alpha, tau)
     lam_num = analytic.optimal_density_numeric(
-        template, model, bracket=(args.lambda_min, args.lambda_max), spec=spec)
+        template, model, bracket=(args.lambda_min, args.lambda_max))
     cfg_num = NetworkConfig(lam_num, args.alpha, tau, p_bs)
-    ase_num = analytic.ase(cfg_num, analytic.cp_for_model(cfg_num, model, spec)).value
+    ase_num = analytic.ase(cfg_num, analytic.cp_for_model(cfg_num, model)).value
     cfg_closed = NetworkConfig(lam_closed, args.alpha, tau, p_bs)
-    ase_at_closed = analytic.ase(
-        cfg_closed, analytic.cp_for_model(cfg_closed, model, spec)).value
+    ase_at_closed = analytic.ase(cfg_closed, analytic.cp_for_model(cfg_closed, model)).value
     ase_up_at_closed = analytic.ase_upper(cfg_closed).value
     lines = [
         f"# densecov optimal-density: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
@@ -301,7 +293,6 @@ def cmd_validate(args) -> int:
             return _usage_error("--model minb has no analytic coverage to validate against")
     tau = db_to_linear(args.tau_db)
     p_bs = db_to_linear(args.p_bs)
-    spec = analytic.QuadratureSpec(rel_tol=args.rel_tol)
 
     if args.lambda_grid is not None:
         try:
@@ -316,7 +307,7 @@ def cmd_validate(args) -> int:
     lines = [
         f"# densecov validate: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
         f"model={args.model} mc_model={args.mc_model or args.model} "
-        f"trials={args.trials} seed={args.seed} window_k={_fmt(args.window_k)}",
+        f"trials={args.trials} seed={args.seed} window_k={_fmt(mc.WINDOW_K)}",
         "model_analytic,model_mc,lambda_bs,cp_analytic,cp_mc_mean,cp_mc_stderr,"
         "z_score,within_3se",
     ]
@@ -328,8 +319,8 @@ def cmd_validate(args) -> int:
             else _DEFAULT_VALIDATE_GRID[analytic_model]
         for lam in lams:
             cfg = NetworkConfig(lam, args.alpha, tau, p_bs)
-            cp = analytic.cp_for_model(cfg, analytic_model, spec)
-            params = mc.SimParams(window_radius=mc.window_radius(lam, args.window_k),
+            cp = analytic.cp_for_model(cfg, analytic_model)
+            params = mc.SimParams(window_radius=mc.window_radius(lam),
                                   trials=args.trials, seed=args.seed)
             est = mc.estimate_cp(cfg, mc_model, params)
             # score-style error: the analytic value supplies the variance,

@@ -33,20 +33,21 @@ from .model import NetworkConfig, PathlossModel, pathloss_gain
 _BLOCK_TRIALS = 64
 _CHUNK = 128
 
-DEFAULT_WINDOW_K = 24.0
+WINDOW_K = 24.0
 MIN_WINDOW_RADIUS = 1.0
 
 
-def window_radius(lambda_bs: float, k: float = DEFAULT_WINDOW_K) -> float:
-    """Simulation window R = max(1 m, k/sqrt(pi lam)), holding ~k^2 points.
+def window_radius(lambda_bs: float) -> float:
+    """Simulation window R = max(1 m, WINDOW_K/sqrt(pi lam)), holding about
+    WINDOW_K^2 points.
 
-    The default k keeps the interference lost beyond R well under the Monte
-    Carlo standard error at 1e5 trials for the densities and thresholds the
+    WINDOW_K keeps the interference lost beyond R well under the Monte Carlo
+    standard error at 1e5 trials for the densities and thresholds the
     validation grids use (verified by the window-doubling test).
     """
     if not lambda_bs > 0.0:
         raise ValueError(f"lambda_bs must be positive, got {lambda_bs}")
-    return max(MIN_WINDOW_RADIUS, k / math.sqrt(math.pi * lambda_bs))
+    return max(MIN_WINDOW_RADIUS, WINDOW_K / math.sqrt(math.pi * lambda_bs))
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,15 @@ def estimate_cp(cfg: NetworkConfig, model: PathlossModel,
     Every block is drawn whole and the last one cut to length, so the
     covered count over trials [0, n) is the count over [0, m) plus the count
     over [m, n).
+
+    Raises FloatingPointError when the path gain at the window edge is below
+    the smallest normal float: a trial whose interferers all underflow to
+    zero power would count as covered.
     """
+    edge_gain = pathloss_gain(model, cfg.alpha, params.window_radius)
+    if edge_gain < np.finfo(float).tiny:
+        raise FloatingPointError(f"path gain {edge_gain:g} underflows at the window edge "
+                                 f"{params.window_radius:g} m (alpha={cfg.alpha:g})")
     n = params.trials
     covered = 0
     for block in range(-(-n // _BLOCK_TRIALS)):

@@ -73,7 +73,9 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
     elif model is PathlossModel.BOUNDED_G1:
         out = (1.0 + arr) ** -alpha
     elif model is PathlossModel.BOUNDED_G2:
-        out = 1.0 / (1.0 + arr**alpha)
+        # d^a = inf far out gives the right gain, 0
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + arr**alpha)
     elif model is PathlossModel.MIN_BOUNDED:
         out = np.ones_like(arr)
         far = arr > 1.0

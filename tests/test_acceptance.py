@@ -45,8 +45,8 @@ def score_se(p, n):
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def mc_params(lam, trials, k=mc.DEFAULT_WINDOW_K):
-    return mc.SimParams(window_radius=mc.window_radius(lam, k), trials=trials, seed=SEED)
+def mc_params(lam, trials):
+    return mc.SimParams(window_radius=mc.window_radius(lam), trials=trials, seed=SEED)
 
 
 def mc_realizations(cfg, params, start, stop):

@@ -8,7 +8,6 @@ from densecov import analytic
 from densecov.analytic import (
     BracketError,
     ConsistencyError,
-    QuadratureSpec,
     UnsupportedPathlossError,
     ase,
     ase_lower,
@@ -50,10 +49,6 @@ def cfg_at(lam, **over):
 
 
 class TestQuadratureEngine:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-6)
-
     def test_matches_independent_oracle(self):
         lam = 0.07
         exponent = lambda x: 3.0 * x + 0.5 * x * x
@@ -98,7 +93,7 @@ class TestCpG1:
         # force the quadrature route to disagree and confirm the diagnostic
         monkeypatch.setattr(
             analytic, "cp_g1_quadrature",
-            lambda cfg, spec=None: analytic.CpValue(0.5, "quadrature", 0.5))
+            lambda cfg: analytic.CpValue(0.5, "quadrature", 0.5))
         with pytest.raises(ConsistencyError) as err:
             cp_g1_closed(cfg_at(1e-3), verify=True)
         assert err.value.quadrature_value == 0.5

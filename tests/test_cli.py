@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import densecov
 from densecov import cli
@@ -49,7 +51,7 @@ class TestFlagValidation:
         ["cp-sweep", "--lambda-min", "-1"],
         ["cp-sweep", "--lambda-min", "2", "--lambda-max", "1"],
         ["cp-sweep", "--alpha", "1.5"],
-        ["cp-sweep", "--rel-tol", "1e-3"],
+        ["cp-sweep", "--rel-tol", "1e-9"],                     # removed flag
         ["cp-sweep", "--trials", "-5"],
         ["validate", "--trials", "100"],
         ["optimal-density", "--model", "minb"],
@@ -60,18 +62,26 @@ class TestFlagValidation:
         ["cp-sweep", "--trials", "5", "--seed", "18446744073709551616"],
         ["validate", "--lambda-grid", "nan"],
         ["cp-sweep", "--lambda-max", "inf"],
-        ["cp-sweep", "--trials", "1", "--window-k", "inf"],
+        ["cp-sweep", "--window-k", "24"],                      # removed flag
         ["cp-sweep", "--tau-db", "4000"],
         ["cp-sweep", "--p-bs", "-4000"],
         ["cp-sweep", "--points", "100000000000000000000"],
         ["cp-sweep", "--trials", "100000000000000000000"],
+        ["optimal-density", "--lambda-min", "0.5", "--lambda-max", "0.5"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
-        assert main(argv) == cli.EXIT_USAGE
+        # argparse refuses an unknown flag by raising SystemExit itself
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
-        ["cp-sweep", "--model", "g2", "--alpha", "100"],       # hypergeometric tail sum
+        ["cp-sweep", "--model", "g2", "--alpha", "100"],       # x^alpha overflows
         ["cp-sweep", "--lambda-min", "1e299", "--lambda-max", "1e300"],  # erfc fraction
+        ["validate", "--model", "g1", "--lambda-grid", "1e-200"],  # powers underflow
     ])
     def test_numerical_failures_exit_3(self, capsys, argv):
         assert main(argv) == cli.EXIT_NUMERICAL
@@ -139,6 +149,13 @@ class TestCpSweep:
         dest = tmp_path / "sweep.csv"
         assert main(argv + ["--output", str(dest)]) == 0
         assert dest.read_text() == out1
+
+    @pytest.mark.filterwarnings("error")
+    def test_g2_steep_pathloss_sweeps_without_warnings(self, capsys):
+        # x^alpha underflows near the origin; y = inf there is the right limit
+        rc, out = run_cli(capsys, "cp-sweep", "--model", "g2", "--alpha", "30")
+        assert rc == 0
+        assert all(0.0 <= float(r["cp_analytic"]) <= 1.0 for r in parse_rows(out))
 
     def test_transmit_power_flag_changes_nothing(self, capsys):
         _, out_a = run_cli(capsys, "cp-sweep", "--points", "4", "--p-bs", "1")
@@ -231,6 +248,30 @@ class TestValidate:
                           "--lambda-grid", "0.1", "--trials", "10000")
         assert rc == cli.EXIT_DISAGREEMENT
         assert abs(float(parse_rows(out)[0]["z_score"])) > 3.0
+
+
+@st.composite
+def analytic_argv(draw):
+    """A sweep or optimal-density command line inside the documented ranges."""
+    log_lam = st.floats(-8.0, 3.0)
+    lo, hi = sorted(10.0 ** draw(log_lam) for _ in range(2))
+    return [draw(st.sampled_from(["cp-sweep", "ase-sweep", "optimal-density"])),
+            "--model", draw(st.sampled_from(["upm", "g1", "g2", "minb"])),
+            "--alpha", repr(draw(st.floats(2.0, 10.0, exclude_min=True))),
+            "--tau-db", repr(draw(st.floats(-20.0, 30.0))),
+            "--lambda-min", repr(lo), "--lambda-max", repr(hi),
+            "--points", str(draw(st.integers(1, 3)))]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(argv=analytic_argv())
+@example(argv=["optimal-density", "--lambda-min", "0.5", "--lambda-max", "0.5"])
+def test_every_analytic_command_ends_in_a_defined_exit_code(argv):
+    # exit 1 belongs to validate alone; a traceback or a warning is a defect
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERICAL)
 
 
 class TestDbConversion:

@@ -24,8 +24,8 @@ CFG_LAM1 = NetworkConfig(lambda_bs=1.0, alpha=4.0, tau=10.0)
 B = mc._BLOCK_TRIALS
 
 
-def params_for(lam, trials, seed=42, k=mc.DEFAULT_WINDOW_K):
-    return SimParams(window_radius=window_radius(lam, k), trials=trials, seed=seed)
+def params_for(lam, trials, seed=42):
+    return SimParams(window_radius=window_radius(lam), trials=trials, seed=seed)
 
 
 def realizations(cfg, params, start, stop):
@@ -115,7 +115,7 @@ class TestSampleNetwork:
     def test_default_window_first_arrival_is_untruncated_inverse_cdf(self):
         # -expm1(-576) rounds to 1, so the truncated draw is bit-equal to
         # inverting the plain exponential CDF at the same uniforms
-        s_max = mc.DEFAULT_WINDOW_K**2
+        s_max = mc.WINDOW_K**2
         s0, _ = next(mc._radial_chunks(block_generator(42, 0), s_max))
         u = block_generator(42, 0).random(B)
         assert np.array_equal(s0[:, 0], -np.log1p(-u))
