@@ -43,11 +43,6 @@ _MAX_NODE_DOUBLINGS = 3
 # successive node doublings must agree to this relative tolerance
 _REL_TOL = 1e-9
 
-# Switch to the large-argument hypergeometric form once its argument exceeds
-# this; the two branches agree to ~1e-15 at the seam (tested), far inside the
-# 1e-9 agreement the coverage tolerances need.
-_Y_CROSSOVER = 1e6
-
 _EQ_CONSISTENCY_TOL = 1e-6
 
 # log-spaced points of the coarse scan that brackets the peak of an objective
@@ -161,43 +156,38 @@ def _exponent_g1(x, lam: float, dc: DerivedConstants):
 def _exponent_g2(x, lam: float, alpha: float, tau: float):
     """Exponent of the inverse-polynomial model's coverage integrand.
 
-    Raw form is 2 pi lam tau (1+x^a)/((a-2) x^(a-2)) * H1(y) with
-    y = (1 + tau (1+x^a))/x^a.  As x -> 0, y -> inf and H1(y) ~ C y^(delta-1)
-    cancels the x^(2-a) blow-up exactly; past the crossover the cancellation
-    is done algebraically with the large-argument form so the limit is
-    evaluated stably:
+    Raw form is 2 pi lam tau (1+x^a)/((a-2) x^(a-2)) * H_b(y) with b = 1 - 2/a
+    and y = tau + (1+tau) x^(-a).  With u = 1/(1+x^a) and D = 1 + tau (1+x^a),
+    y = D/x^a and 1 + y = (x^a + D)/x^a = (1+tau)(1+x^a)/x^a, so the series
+    argument of specfun is w = y/(1+y) = (tau + u)/(1+tau), 1/(1+y) = 1 - w,
+    and the x^(2-a) factor cancels algebraically in both branches:
 
-        E = (2 pi lam tau/(a-2)) (1+x^a)
-            * [ b pi/sin(pi b) / D^b - b x^2 S(y) / D ],   D = 1 + tau (1+x^a),
+        w <= 1/2:  E = K x^2 F(b+1; w) / (1+tau)
+        w >  1/2:  E = K [ (b pi/sin(pi b)) (1+x^a) D^(-b)
+                           - (b/(1-b)) x^2 F(2-b; 1-w) / (1+tau) ],
 
-    with b = 1 - 2/a and S the alternating tail sum.
+    K = 2 pi lam tau/(a-2), F = specfun.hyf_series, and
+    (1+x^a) D^(-b) = (1+x^a)^(2/a) (tau + u)^(-b).  Where x^a overflows,
+    u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha or
+    distance overflows.
     """
     x = np.asarray(x, dtype=float)
-    delta = 2.0 / alpha
-    b = 1.0 - delta
-    p = specfun.HypParams(delta)
+    b = 1.0 - 2.0 / alpha
+    k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
     with np.errstate(over="ignore"):
         xa = x**alpha
-    if np.any(np.isinf(xa)):
-        raise OverflowError(f"x^alpha overflows at alpha={alpha:g}, lam={lam:g}")
-    # y = inf where x^a underflows is the x -> 0 limit the limiting branch takes
-    with np.errstate(divide="ignore", over="ignore"):
-        y = (1.0 + tau * (1.0 + xa)) / xa
+    u = 1.0 / (1.0 + xa)
+    w = (tau + u) / (1.0 + tau)
+    x2 = x * x
     out = np.empty_like(x)
-    direct = y <= _Y_CROSSOVER
-    if np.any(direct):
-        xd = x[direct]
-        out[direct] = (2.0 * math.pi * lam * tau * (1.0 + xa[direct])
-                       / ((alpha - 2.0) * xd ** (alpha - 2.0))
-                       * specfun.hyf1(y[direct], p))
-    limiting = ~direct
-    if np.any(limiting):
-        xl = x[limiting]
-        xal = xa[limiting]
-        den = 1.0 + tau * (1.0 + xal)
-        lead = b * math.pi / math.sin(math.pi * b) / den**b
-        corr = b * xl * xl / den * specfun.hyf_tail_sum(y[limiting], b)
-        out[limiting] = 2.0 * math.pi * lam * tau / (alpha - 2.0) * (1.0 + xal) * (lead - corr)
+    near = w <= 0.5
+    out[near] = k / (1.0 + tau) * x2[near] * specfun.hyf_series(w[near], b + 1.0)
+    far = ~near
+    xaf = xa[far]
+    grow = np.where(np.isinf(xaf), x2[far], (1.0 + xaf) ** (2.0 / alpha))
+    out[far] = k * (b * math.pi / math.sin(math.pi * b) * grow * (tau + u[far]) ** -b
+                    - b / (1.0 - b) * x2[far] / (1.0 + tau)
+                    * specfun.hyf_series(1.0 - w[far], 2.0 - b))
     return out
 
 

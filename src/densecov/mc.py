@@ -184,14 +184,19 @@ def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> 
     """SIR at the origin for one realization.
 
     An empty interferer set yields +inf, i.e. covered at any finite threshold.
+    Raises FloatingPointError when there are interferers but their total
+    received power underflows to zero, which would read as covered too.
     """
     d = np.hypot(realization.bs_points[:, 0], realization.bs_points[:, 1])
     received = pathloss_gain(model, alpha, d) * realization.fading
-    signal = received[realization.serving_index]
-    interference = float(received.sum() - signal)
-    if interference <= 0.0:
+    interferers = np.delete(received, realization.serving_index)
+    if interferers.size == 0:
         return math.inf
-    return float(signal) / interference
+    interference = float(interferers.sum())
+    if interference <= 0.0:
+        raise FloatingPointError(f"received power of all {interferers.size} interferers "
+                                 f"underflows to zero (alpha={alpha:g})")
+    return float(received[realization.serving_index]) / interference
 
 
 @dataclass(frozen=True)

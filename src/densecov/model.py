@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +110,13 @@ def derived_constants(alpha: float, tau: float) -> DerivedConstants:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
+    return _derived_constants(float(alpha), float(tau))
+
+
+# every coverage, bound and envelope call at one (alpha, tau) needs the same
+# constants; the result is frozen, so callers may share it
+@lru_cache(maxsize=256)
+def _derived_constants(alpha: float, tau: float) -> DerivedConstants:
     p = specfun.HypParams.from_alpha(alpha)
     c1 = 2.0 * tau * specfun.hyf1(tau, p) / (alpha - 2.0)
     c2 = 2.0 * tau * specfun.hyf2(tau, p) / (alpha - 1.0)

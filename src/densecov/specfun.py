@@ -3,11 +3,19 @@
 Provides the complementary error function, its scaled variant, and the
 one-parameter Gauss hypergeometric family
 
-    H_b(x) = 2F1(1, b; b+1; -x) = b * int_0^1 t^(b-1) / (1 + x t) dt,
+    H_b(y) = 2F1(1, b; b+1; -y) = b * int_0^1 t^(b-1) / (1 + y t) dt,
 
-for b in (0, 1) and x >= 0, which is the only hypergeometric shape the
+for b in (0, 1) and y >= 0, which is the only hypergeometric shape the
 interference integrals need (with b = 1 - delta and b = 1 - delta/2,
-delta = 2/alpha).  Everything is evaluated from integral or series
+delta = 2/alpha).  H_b is evaluated from the power series
+F(c; w) = 2F1(1, 1; c; w) = sum_k k!/(c)_k w^k through the Pfaff and
+1 - z connection formulas (DLMF 15.8):
+
+    y <= 1:  H_b(y) = F(b+1; y/(1+y)) / (1+y)
+    y >  1:  H_b(y) = (b pi/sin(pi b)) y^(-b) - (b/(1-b)) F(2-b; 1/(1+y)) / (1+y)
+
+Either series argument is at most 1/2, so the terms fall geometrically at
+least that fast for every y.  Everything is evaluated from series
 definitions rather than library calls, so the accuracy claims can be
 audited against independent quadrature oracles in the test suite.
 """
@@ -22,18 +30,14 @@ import numpy as np
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Euler-integral evaluation: Gauss-Legendre points per panel, geometric panel
-# ratio (in t = u^(1/b) space), and the level below which x t no longer moves
-# the integrand.
-_EULER_NODES = 40
-_PANEL_RATIO = 10.0
-_EULER_EPS = 1e-14
-_T_FLOOR = 1e-60
+# hyf_series terms at least halve, so the last of 56 is below 2^-56 = 1.4e-17
+_SERIES_TERMS = 56
 
 # erfc: Maclaurin series below the switch point, Gauss continued fraction
 # (modified Lentz) above it.
 _ERFC_SWITCH = 2.0
 _CF_MAX_ITER = 400
+_CF_EXACT = 1e8
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,11 @@ def _erf_series(x: float) -> float:
 def _erfc_cf_denominator(x: float) -> float:
     # erfc(x) = exp(-x^2)/sqrt(pi) * 1/f with the Gauss continued fraction
     # f = x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))), evaluated by
-    # modified Lentz.  Converges quickly for x >= 2.
+    # modified Lentz.  Converges quickly for x >= 2.  Beyond _CF_EXACT the
+    # fraction's relative correction 1/(2 x^2) is below half an ulp, f = x in
+    # double precision, and the Lentz ratios may never round to exactly 1.
+    if x >= _CF_EXACT:
+        return x
     tiny = 1e-300
     f = x
     c = x
@@ -126,40 +134,40 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _euler_panels(x, b: float, nodes: int):
-    """Composite Gauss-Legendre for int_0^1 du / (1 + x u^(1/b)).
+def hyf_series(w, c: float):
+    """F(c; w) = 2F1(1, 1; c; w) = sum_k k!/(c)_k w^k for 0 <= w <= 1/2, c >= 1.
 
-    The substitution t = u^(1/b) removes the t^(b-1) endpoint singularity of
-    the raw Euler integral exactly.  The transformed integrand is flat near
-    both endpoints with a transition where x u^(1/b) crosses one; that
-    transition always spans a fixed number of decades in t, so panel edges
-    are laid out per decade of t and mapped back through u = t^b (for small
-    b a knee in u is far too sharp for u-spaced panels to resolve).  Edges
-    are keyed to the largest x in the batch; for smaller entries the
-    integrand is only flatter on the same panels.
+    Term k+1 is term k times w (k+1)/(c+k) <= 1/2 and the sum is at least 1,
+    so the sum stops once every entry's last term is below 1e-17 of it, or
+    after _SERIES_TERMS terms, when each is below 1.4e-17 of it.
     """
-    x = np.asarray(x, dtype=float)
-    xmax = float(x.max())
-    if xmax <= _EULER_EPS:
-        return np.ones_like(x)
-    t_lo = max(min(1.0, _EULER_EPS / xmax), _T_FLOOR)
-    n_panels = max(1, int(math.ceil(math.log(1.0 / t_lo) / math.log(_PANEL_RATIO))))
-    edges = np.concatenate([[0.0], (_PANEL_RATIO ** -np.arange(n_panels, -1, -1.0)) ** b])
-    t, w = _leggauss(nodes)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    u = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-    wu = (halfs[:, None] * w[None, :]).ravel()
-    return (wu[None, :] / (1.0 + x[..., None] * u[None, :] ** (1.0 / b))).sum(axis=-1)
+    w = np.asarray(w, dtype=float)
+    if np.any(~((0.0 <= w) & (w <= 0.5))):
+        raise ValueError("series argument must lie in [0, 1/2]")
+    total = np.ones_like(w)
+    term = np.ones_like(w)
+    for k in range(_SERIES_TERMS):
+        term = term * w * ((k + 1.0) / (c + k))
+        total += term
+        if not np.any(term > 1e-17):
+            break
+    return total
 
 
-def _hyf(x, b: float):
-    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+def _hyf(y, b: float):
+    scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("hypergeometric argument must be finite and >= 0")
-    vals = _euler_panels(arr, b, _EULER_NODES)
-    return float(vals[0]) if scalar else vals
+    out = np.empty_like(arr)
+    near = arr <= 1.0
+    yn = arr[near]
+    out[near] = hyf_series(yn / (1.0 + yn), b + 1.0) / (1.0 + yn)
+    far = ~near
+    yf = arr[far]
+    out[far] = (b * math.pi / math.sin(math.pi * b) * yf**-b
+                - b / (1.0 - b) * hyf_series(1.0 / (1.0 + yf), 2.0 - b) / (1.0 + yf))
+    return float(out[0]) if scalar else out
 
 
 def hyf1(x, p: HypParams):
@@ -170,45 +178,6 @@ def hyf1(x, p: HypParams):
 def hyf2(x, p: HypParams):
     """Second hypergeometric family 2F1(1, 1-delta/2; 2-delta/2; -x), x >= 0."""
     return _hyf(x, 1.0 - 0.5 * p.delta)
-
-
-def hyf_tail_sum(y, b: float):
-    """Alternating tail sum S(y) = sum_k (-1)^k y^(-k) / (k + 1 - b), y > 1.
-
-    Building block of the exact large-argument form
-
-        H_b(y) = b * y^(-b) * pi/sin(pi b) - (b/y) * S(y),
-
-    obtained by splitting the Euler integral at t = 1 and expanding the
-    remainder; the series converges geometrically with ratio 1/y.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 1.0):
-        raise ValueError("tail sum requires y > 1")
-    total = np.zeros_like(y)
-    term = np.ones_like(y)
-    for k in range(400):
-        contrib = term / (k + 1.0 - b)
-        total = total + contrib if k % 2 == 0 else total - contrib
-        term = term / y
-        if np.all(term / (k + 2.0 - b) <= 1e-17 * np.abs(total)):
-            return total
-    raise RuntimeError("hypergeometric tail sum failed to converge")
-
-
-def hyf1_large_x(y, p: HypParams):
-    """Large-argument form of hyf1, exact for y > 1 (use well above 1).
-
-    Leading behaviour is (pi (1-delta)/sin(pi (1-delta))) * y^(delta-1); the
-    alternating tail sum supplies the remaining terms to full precision, so
-    this branch can replace the direct evaluation wherever y is large enough
-    for the series to converge fast.
-    """
-    b = 1.0 - p.delta
-    y_arr = np.asarray(y, dtype=float)
-    lead = b * y_arr ** (-b) * math.pi / math.sin(math.pi * b)
-    val = lead - (b / y_arr) * hyf_tail_sum(y_arr, b)
-    return float(val) if np.isscalar(y) or getattr(y, "ndim", 0) == 0 else val
 
 
 def _check_monotone_args(x, alpha: float):

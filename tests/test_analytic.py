@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from densecov import analytic
 from densecov.analytic import (
@@ -40,6 +41,31 @@ CP_G1_REF = {1e-6: 0.19920602501215623, 1e-3: 0.17436316100541618,
 CP_G2_REF = {1e-3: 0.19994073202782445, 0.3: 0.006458172736268806}
 CP_UPM_A4_T10 = 0.20004961028054148
 LAMBDA_STAR_U_A4_T10 = 2.5331853286242795
+
+# cp_g2 as computed by the former Euler-panel evaluation of the
+# hypergeometric function: the three figure cases (alpha, tau) and three
+# further exponents, at these densities
+CP_G2_FROZEN_LAMBDAS = np.geomspace(1e-6, 10.0, 8).tolist()
+CP_G2_FROZEN = {
+    (4.0, 10.0): [0.20004961001490487, 0.2000495889424906, 0.2000479990309425,
+                  0.19994073202782447, 0.19436159289467736, 0.08338720106076544,
+                  3.2734636286231015e-07, 6.291604939148382e-65],
+    (3.0, 10.0): [0.08878719178758629, 0.08878655350781797, 0.08876685777657811,
+                  0.08819386832695557, 0.07529921972906944, 0.005538941453911226,
+                  4.92182358623289e-16, 3.03889721214878e-149],
+    (3.0, 1.0): [0.3743498830514226, 0.37434965793457514, 0.3743426199523384,
+                 0.37412817043503055, 0.3681692167598921, 0.25928042045551003,
+                 0.0017508658030235534, 7.391436489844295e-27],
+    (2.5, 10.0): [0.03700866008041856, 0.037003827951797616, 0.03691874264138177,
+                  0.03549911524618744, 0.01966707466378761, 1.5677403252397663e-05,
+                  7.650372663080625e-38, 0.0],
+    (8.0, 10.0): [0.5014712711875147, 0.5014712700443799, 0.5014711557895846,
+                  0.5014597884816512, 0.5003779092990975, 0.4304932398495706,
+                  0.007333541435576108, 6.277419373681343e-25],
+    (30.0, 10.0): [0.847149168881054, 0.8471491683549314, 0.8471491157539931,
+                   0.847143866962561, 0.8466301419483483, 0.8050606606686965,
+                   0.112363653422567, 2.2203703317719455e-14],
+}
 
 
 def cfg_at(lam, **over):
@@ -162,6 +188,12 @@ class TestCpG2:
             assert cp_g2(cfg_at(lam)).value == pytest.approx(ref, rel=1e-8)
         assert cp_g2(NetworkConfig(0.1, 3.0, 1.0)).value == pytest.approx(
             0.2592804204555099, rel=1e-8)
+
+    @pytest.mark.parametrize("case", sorted(CP_G2_FROZEN))
+    def test_matches_values_frozen_before_the_series_rewrite(self, case):
+        alpha, tau = case
+        for lam, ref in zip(CP_G2_FROZEN_LAMBDAS, CP_G2_FROZEN[case]):
+            assert abs(cp_g2(NetworkConfig(lam, alpha, tau)).value - ref) <= 1e-12
 
     def test_threshold_to_zero(self):
         assert cp_g2(cfg_at(0.3, tau=1e-12)).value == pytest.approx(1.0, abs=1e-9)
@@ -351,3 +383,34 @@ class TestTransmitPowerInvariance:
             assert cp_g2(cfg).value == cp_g2(base).value
             assert ase_upper(cfg).value == ase_upper(base).value
             assert ase_lower(cfg).value == ase_lower(base).value
+
+
+BOUND_SLACK = 1e-9  # the acceptance gate's bound-sandwich slack
+CP_ROUTES = {
+    "g1": (cp_g1_quadrature, cp_g1_lower, cp_g1_upper),
+    "g2": (cp_g2, cp_g2_lower, cp_g2_upper),
+}
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(alpha=st.floats(2.0, 10.0, exclude_min=True),
+       taus=st.lists(log_uniform(-2.0, 3.0), min_size=2, max_size=2),
+       lam=log_uniform(-8.0, 3.0))
+@example(alpha=2.0000000000000004, taus=[10.0, 1e3], lam=1.0)  # erfcx near 4e9
+@example(alpha=10.0, taus=[1e-2, 1e3], lam=1e3)
+def test_coverage_in_unit_interval_monotone_in_tau_and_sandwiched(alpha, taus, lam):
+    tau_lo, tau_hi = sorted(taus)
+    for model, (exact, lower, upper) in CP_ROUTES.items():
+        values = []
+        for tau in (tau_lo, tau_hi):
+            cfg = NetworkConfig(lam, alpha, tau)
+            cp = exact(cfg)
+            assert 0.0 <= cp.raw <= 1.0 + BOUND_SLACK, model
+            assert lower(cfg).value <= cp.value + BOUND_SLACK, model
+            assert cp.value <= upper(cfg).value + BOUND_SLACK, model
+            values.append(cp.value)
+        assert values[1] <= values[0] + BOUND_SLACK, model

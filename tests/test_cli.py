@@ -79,8 +79,9 @@ class TestFlagValidation:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
-        ["cp-sweep", "--model", "g2", "--alpha", "100"],       # x^alpha overflows
-        ["cp-sweep", "--lambda-min", "1e299", "--lambda-max", "1e300"],  # erfc fraction
+        ["cp-sweep", "--model", "g2", "--alpha", "1000",       # quadrature
+         "--lambda-min", "1e-2", "--lambda-max", "1", "--points", "3"],
+        ["cp-sweep", "--alpha", "1e4"],                         # 2^alpha overflows
         ["validate", "--model", "g1", "--lambda-grid", "1e-200"],  # powers underflow
     ])
     def test_numerical_failures_exit_3(self, capsys, argv):
@@ -156,6 +157,18 @@ class TestCpSweep:
         rc, out = run_cli(capsys, "cp-sweep", "--model", "g2", "--alpha", "30")
         assert rc == 0
         assert all(0.0 <= float(r["cp_analytic"]) <= 1.0 for r in parse_rows(out))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau_db", ["-10", "0", "10"])
+    def test_g2_very_steep_pathloss_computes(self, capsys, tau_db):
+        # x^alpha overflows on the far quadrature nodes at alpha = 100
+        rc, out = run_cli(capsys, "cp-sweep", "--model", "g2", "--alpha", "100",
+                          "--tau-db", tau_db)
+        assert rc == 0
+        for r in parse_rows(out):
+            cp = float(r["cp_analytic"])
+            assert 0.0 <= cp <= 1.0
+            assert float(r["cp_lower"]) - 1e-9 <= cp <= float(r["cp_upper"]) + 1e-9
 
     def test_transmit_power_flag_changes_nothing(self, capsys):
         _, out_a = run_cli(capsys, "cp-sweep", "--points", "4", "--p-bs", "1")

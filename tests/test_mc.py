@@ -145,6 +145,17 @@ class TestSirSample:
         assert sir_sample(r, PathlossModel.BOUNDED_G1, 4.0) == pytest.approx(
             expected, rel=1e-14)
 
+    def test_interferer_power_underflow_raises(self):
+        # at this density every received power underflows, so the interferers
+        # would otherwise read as absent and each trial as covered
+        lam = 1e-200
+        cfg = NetworkConfig(lambda_bs=lam, alpha=4.0, tau=10.0)
+        block = sample_block(cfg, params_for(lam, B), 0)
+        assert all(r.bs_points.shape[0] > 1 for r in block)
+        for r in block:
+            with pytest.raises(FloatingPointError):
+                sir_sample(r, PathlossModel.BOUNDED_G1, cfg.alpha)
+
     def test_unbounded_rejects_station_at_origin(self):
         r = realization_from_points([(0.0, 0.0), (1.0, 1.0)], [1.0, 1.0])
         with pytest.raises(ValueError):

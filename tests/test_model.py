@@ -9,6 +9,7 @@ from densecov.model import (
     NetworkConfig,
     PathlossModel,
     ServingDistanceDist,
+    _derived_constants,
     derived_constants,
     pathloss_gain,
 )
@@ -119,6 +120,9 @@ class TestDerivedConstants:
 
     def test_deterministic(self):
         assert derived_constants(3.7, 5.0) == derived_constants(3.7, 5.0)
+        # the cache hands out exactly what a fresh evaluation gives
+        assert derived_constants(3.7, 5.0) == _derived_constants.__wrapped__(3.7, 5.0)
+        assert derived_constants(4, 10) == _derived_constants.__wrapped__(4.0, 10.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

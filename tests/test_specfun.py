@@ -48,6 +48,9 @@ class TestErfc:
             assert erfcx(x) == pytest.approx(math.exp(x * x) * erfc(x), rel=1e-12)
         big = erfcx(66.0)  # plain erfc underflows far before this
         assert big == pytest.approx(1.0 / (66.0 * math.sqrt(math.pi)), rel=1e-3)
+        # past 1e8 the continued fraction is x itself to double precision
+        for x in (1e8, 1557384392.2667587, 3761445932.6244283, 6.49e149):
+            assert erfcx(x) == pytest.approx(1.0 / (x * math.sqrt(math.pi)), rel=1e-15)
 
 
 class TestHypergeometric:
@@ -85,21 +88,25 @@ class TestHypergeometric:
         ref = euler_integral(1e6, 1.0 - p.delta)
         assert abs(hyf1(1e6, p) - ref) <= 1e-9 * abs(ref)
 
-    def test_large_x_branch_agrees_at_and_beyond_crossover(self):
-        # the series branch must agree with the direct evaluation to 1e-9 at
-        # the switch point; measured agreement is near machine precision
-        for alpha in [2.5, 3.0, 4.0, 6.0]:
-            p = HypParams.from_alpha(alpha)
-            for y in [2.5, 10.0, 1e3, 1e6, 1e9]:
-                direct = hyf1(y, p)
-                series = specfun.hyf1_large_x(y, p)
-                assert abs(series - direct) <= 1e-9 * abs(direct)
+    def test_series_branches_match_oracle_across_the_seam(self):
+        # y <= 1 and y > 1 take different series; both must match the Euler
+        # integral at the seam y = 1, at its ends, and far from it
+        ys = [0.0, 1.0 - 1e-6, 1.0, 1.0 + 1e-6] + np.geomspace(1e-8, 1e8, 33).tolist()
+        for b in [0.2, 1.0 / 3.0, 0.5, 0.75, 0.9, 0.98, 0.995]:
+            refs = np.array([euler_integral(y, b) for y in ys])
+            fams = [hyf1(np.array(ys), HypParams(1.0 - b))]
+            if b > 0.5:
+                fams.append(hyf2(np.array(ys), HypParams(2.0 * (1.0 - b))))
+            for vals in fams:
+                assert np.all(np.abs(vals - refs) <= 1e-12 * refs), b
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             hyf1(-0.1, HypParams(0.5))
         with pytest.raises(ValueError):
             hyf2(np.array([1.0, -2.0]), HypParams(0.5))
+        with pytest.raises(ValueError):
+            specfun.hyf_series(np.array([0.25, 0.75]), 1.5)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
