@@ -361,7 +361,10 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
     """Density maximizing the upper envelope: 2^a/(pi c_hat), the stationary
     point of lam e^(-kappa_upper lam)."""
     dc = derived_constants(alpha, tau)
-    return 2.0**alpha / (math.pi * dc.c_hat)
+    lam = 2.0**alpha / (math.pi * dc.c_hat)
+    if lam == math.inf:
+        raise OverflowError(f"2^alpha/(pi c_hat) overflows at alpha={alpha:g}, tau={tau:g}")
+    return lam
 
 
 def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:

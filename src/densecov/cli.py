@@ -162,6 +162,20 @@ def _check_common(args, sweep: bool = True) -> str | None:
     return None
 
 
+def _check_mc_work(trials: int, lams) -> str | None:
+    """Refuse Monte Carlo work per density above that of MAX_TRIALS trials at
+    the default window; at its 1 m floor a trial draws about pi lam stations."""
+    cap = MAX_TRIALS * mc.WINDOW_K**2
+    drawn = -(-trials // mc._BLOCK_TRIALS) * mc._BLOCK_TRIALS
+    for lam in lams:
+        # pi lam R^2 by the window rule, free of the rounding in R
+        stations = drawn * max(mc.WINDOW_K**2, math.pi * float(lam) * mc.MIN_WINDOW_RADIUS**2)
+        if stations > cap:
+            return (f"--trials {trials} at {lam:g} BS/m^2 would draw {stations:.3g} "
+                    f"stations, above the cap of {cap:.3g}")
+    return None
+
+
 def _grid(args) -> np.ndarray:
     if args.points == 1:
         return np.array([args.lambda_min])
@@ -197,11 +211,14 @@ def _run_sweep(args, with_ase: bool) -> int:
     problem = _check_common(args)
     if problem:
         return _usage_error(problem)
+    grid = _grid(args)
+    if problem := _check_mc_work(args.trials, grid):
+        return _usage_error(problem)
     model = PathlossModel.from_tag(args.model)
     tau = db_to_linear(args.tau_db)
     p_bs = db_to_linear(args.p_bs)
     rows = []
-    for lam in _grid(args):
+    for lam in grid:
         cfg = NetworkConfig(lambda_bs=float(lam), alpha=args.alpha, tau=tau, p_bs=p_bs)
         cp, cp_lo, cp_hi = _analytic_cp(cfg, model)
         row = SweepRow(lambda_bs=float(lam), model=args.model)
@@ -301,6 +318,8 @@ def cmd_validate(args) -> int:
             return _usage_error("--lambda-grid must be comma-separated numbers")
         if not all(0.0 < l < math.inf for l in explicit_lams):
             return _usage_error("--lambda-grid densities must be positive and finite")
+        if problem := _check_mc_work(args.trials, explicit_lams):
+            return _usage_error(problem)
     else:
         explicit_lams = None
 

@@ -1,6 +1,6 @@
 """Monte Carlo simulator: Poisson base-station field on a disk, typical user
 at the origin, nearest-station association, unit-mean exponential fading, and
-SIR/coverage/throughput estimation.
+SIR and coverage estimation.
 
 Trials run in fixed blocks of _BLOCK_TRIALS.  Block b draws from one
 counter-based Philox stream keyed by (seed, b) (Salmon et al., "Parallel
@@ -91,15 +91,6 @@ class Realization:
             raise ValueError("serving station is not the nearest one")
 
 
-def realization_from_points(points, fading) -> Realization:
-    """Build a realization from explicit positions, deriving the serving fields."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    fad = np.asarray(fading, dtype=float).reshape(-1)
-    d = np.hypot(pts[:, 0], pts[:, 1])
-    idx = int(np.argmin(d))
-    return Realization(pts, idx, float(d[idx]), fad)
-
-
 def block_generator(seed: int, block: int) -> np.random.Generator:
     """Counter-based stream for one block of trials, keyed by (seed, block)."""
     key = np.array([seed, block], dtype=np.uint64)
@@ -174,12 +165,6 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     return out
 
 
-def sample_network(cfg: NetworkConfig, params: SimParams, trial: int) -> Realization:
-    """The realization of one trial; draws its whole block, so callers that
-    walk many trials should use sample_block."""
-    return sample_block(cfg, params, trial // _BLOCK_TRIALS)[trial % _BLOCK_TRIALS]
-
-
 def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> float:
     """SIR at the origin for one realization.
 
@@ -236,12 +221,3 @@ def estimate_cp(cfg: NetworkConfig, model: PathlossModel,
     hi = min(1.0, mean + 1.96 * stderr)
     return SimEstimate(mean, stderr, (lo, hi), n)
 
-
-def estimate_ase(cfg: NetworkConfig, model: PathlossModel,
-                 params: SimParams) -> SimEstimate:
-    """Throughput-density estimate lam log2(1+tau) * coverage, errors scaled
-    by the same factor."""
-    cp = estimate_cp(cfg, model, params)
-    scale = cfg.lambda_bs * math.log2(1.0 + cfg.tau)
-    return SimEstimate(scale * cp.mean, scale * cp.stderr,
-                       (scale * cp.ci95[0], scale * cp.ci95[1]), cp.trials)

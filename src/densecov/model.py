@@ -46,14 +46,14 @@ class NetworkConfig:
     p_bs: float = 100.0
 
     def __post_init__(self):
-        if not self.lambda_bs > 0.0:
-            raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
-        if not self.alpha > 2.0:
-            raise ValueError(f"alpha must exceed 2, got {self.alpha}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.p_bs > 0.0:
-            raise ValueError(f"p_bs must be positive, got {self.p_bs}")
+        if not 0.0 < self.lambda_bs < math.inf:
+            raise ValueError(f"lambda_bs must be positive and finite, got {self.lambda_bs}")
+        if not 2.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must exceed 2 and be finite, got {self.alpha}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 < self.p_bs < math.inf:
+            raise ValueError(f"p_bs must be positive and finite, got {self.p_bs}")
 
 
 def pathloss_gain(model: PathlossModel, alpha: float, d):
@@ -129,28 +129,3 @@ def _derived_constants(alpha: float, tau: float) -> DerivedConstants:
         kappa_upper=math.pi * 2.0**-alpha * c_hat,
         kappa_lower=math.pi * (1.0 + 2.0**alpha * c1),
     )
-
-
-@dataclass(frozen=True)
-class ServingDistanceDist:
-    """Distance from the origin to the nearest point of a planar Poisson field.
-
-    PDF f(x) = 2 pi lam x exp(-pi lam x^2) for x >= 0.
-    """
-
-    lambda_bs: float
-
-    def __post_init__(self):
-        if not self.lambda_bs > 0.0:
-            raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr >= 0.0, 2.0 * math.pi * self.lambda_bs * arr
-                       * np.exp(-math.pi * self.lambda_bs * arr**2), 0.0)
-        return float(out) if np.isscalar(x) or getattr(x, "ndim", 0) == 0 else out
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr >= 0.0, -np.expm1(-math.pi * self.lambda_bs * arr**2), 0.0)
-        return float(out) if np.isscalar(x) or getattr(x, "ndim", 0) == 0 else out

@@ -345,7 +345,7 @@ def test_criterion_10_transmit_power_invariance():
     assert mc_outputs[0] == mc_outputs[1] == mc_outputs[2]
     sample_sirs = []
     for c in configs:
-        r = mc.sample_network(c, mc_params(0.3, 1), 0)
+        r = mc.sample_block(c, mc_params(0.3, 1), 0)[0]
         sample_sirs.append(mc.sir_sample(r, PathlossModel.BOUNDED_G1, c.alpha))
     assert sample_sirs[0] == sample_sirs[1] == sample_sirs[2]
     print("criterion 10: PASS - analytic and simulated outputs bit-identical "

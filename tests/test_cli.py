@@ -35,6 +35,32 @@ def test_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+PUBLIC_NAMES = {
+    "NetworkConfig", "PathlossModel", "CpValue", "AseValue", "SimParams", "SimEstimate",
+    "QuadratureError", "ConsistencyError", "BracketError", "UnsupportedPathlossError",
+    "cp_upm", "cp_g1_closed", "cp_g1_quadrature", "cp_g1_lower", "cp_g1_upper",
+    "cp_g2", "cp_g2_lower", "cp_g2_upper", "cp_for_model",
+    "ase", "ase_upper", "ase_lower", "optimal_density_closed", "optimal_density_numeric",
+    "scaling_envelope_check", "f1", "f2", "f3", "window_radius", "estimate_cp",
+}
+
+
+def test_public_names_resolve_once():
+    # the top level is what the quick start, the CLI and the paper's checks
+    # use; every other helper lives in its submodule
+    assert len(densecov.__all__) == len(set(densecov.__all__))
+    assert set(densecov.__all__) == PUBLIC_NAMES
+    assert all(hasattr(densecov, name) for name in densecov.__all__)
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(densecov.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-m", "densecov", "--help"], env=env,
@@ -68,6 +94,10 @@ class TestFlagValidation:
         ["cp-sweep", "--points", "100000000000000000000"],
         ["cp-sweep", "--trials", "100000000000000000000"],
         ["optimal-density", "--lambda-min", "0.5", "--lambda-max", "0.5"],
+        # at the 1 m window floor a trial draws about pi lam stations
+        ["cp-sweep", "--trials", "1", "--lambda-min", "1e300", "--lambda-max", "1e300",
+         "--points", "1"],
+        ["validate", "--model", "g1", "--lambda-grid", "1e300"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         # argparse refuses an unknown flag by raising SystemExit itself
@@ -77,12 +107,13 @@ class TestFlagValidation:
             rc = exc.code
         assert rc == cli.EXIT_USAGE
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         ["cp-sweep", "--model", "g2", "--alpha", "1000",       # quadrature
          "--lambda-min", "1e-2", "--lambda-max", "1", "--points", "3"],
         ["cp-sweep", "--alpha", "1e4"],                         # 2^alpha overflows
         ["validate", "--model", "g1", "--lambda-grid", "1e-200"],  # powers underflow
+        ["optimal-density", "--model", "g2", "--alpha", "1000",    # 2^alpha/(pi c_hat)
+         "--tau-db", "-100", "--lambda-max", "1e300"],            # overflows
     ])
     def test_numerical_failures_exit_3(self, capsys, argv):
         assert main(argv) == cli.EXIT_NUMERICAL
@@ -151,14 +182,12 @@ class TestCpSweep:
         assert main(argv + ["--output", str(dest)]) == 0
         assert dest.read_text() == out1
 
-    @pytest.mark.filterwarnings("error")
     def test_g2_steep_pathloss_sweeps_without_warnings(self, capsys):
         # x^alpha underflows near the origin; y = inf there is the right limit
         rc, out = run_cli(capsys, "cp-sweep", "--model", "g2", "--alpha", "30")
         assert rc == 0
         assert all(0.0 <= float(r["cp_analytic"]) <= 1.0 for r in parse_rows(out))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau_db", ["-10", "0", "10"])
     def test_g2_very_steep_pathloss_computes(self, capsys, tau_db):
         # x^alpha overflows on the far quadrature nodes at alpha = 100
@@ -197,6 +226,26 @@ class TestAseSweep:
         # constant slope up to the 12-significant-digit CSV rounding
         slopes = {v / l for v, l in zip(vals, lams)}
         assert max(slopes) - min(slopes) <= 1e-11 * max(slopes)
+
+    def test_ase_is_scaled_coverage(self, capsys):
+        rc, out = run_cli(capsys, "ase-sweep", "--model", "g2", "--points", "3",
+                          "--lambda-min", "0.03", "--lambda-max", "0.3", "--trials", "2000")
+        rows = parse_rows(out)
+        assert rc == 0 and len(rows) == 3
+        for r in rows:
+            cp_mc = float(r["cp_mc_mean"])
+            assert cp_mc > 0.0
+            # three values rounded to 12 significant digits
+            assert float(r["ase_mc_mean"]) == pytest.approx(
+                float(r["lambda_bs"]) * math.log2(11.0) * cp_mc, rel=2e-11)
+
+    def test_zero_coverage_gives_zero_ase(self, capsys):
+        # coverage is about 1e-30 at this density
+        rc, out = run_cli(capsys, "ase-sweep", "--points", "1", "--lambda-min", "5",
+                          "--trials", "300")
+        row = parse_rows(out)[0]
+        assert rc == 0
+        assert float(row["cp_mc_mean"]) == 0.0 and float(row["ase_mc_mean"]) == 0.0
 
     def test_bounded_rows_carry_bounds_and_rate_function(self, capsys):
         rc, out = run_cli(capsys, "ase-sweep", "--points", "5", "--lambda-min", "0.01",
@@ -276,7 +325,6 @@ def analytic_argv(draw):
             "--points", str(draw(st.integers(1, 3)))]
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(argv=analytic_argv())
 @example(argv=["optimal-density", "--lambda-min", "0.5", "--lambda-max", "0.5"])

@@ -9,11 +9,8 @@ from densecov.mc import (
     Realization,
     SimParams,
     block_generator,
-    estimate_ase,
     estimate_cp,
-    realization_from_points,
     sample_block,
-    sample_network,
     sir_sample,
     window_radius,
 )
@@ -63,8 +60,8 @@ class TestParams:
 class TestSampleNetwork:
     def test_fixed_seed_reproduces_realization(self):
         params = params_for(0.3, 1, seed=7)
-        r1 = sample_network(CFG, params, 0)
-        r2 = sample_network(CFG, params, 0)
+        r1 = sample_block(CFG, params, 0)[0]
+        r2 = sample_block(CFG, params, 0)[0]
         assert np.array_equal(r1.bs_points, r2.bs_points)
         assert np.array_equal(r1.fading, r2.fading)
         assert r1.serving_index == r2.serving_index == 0
@@ -91,8 +88,8 @@ class TestSampleNetwork:
         # comparisons are coupled rather than independent draws
         p_small = params_for(0.3, 1)
         p_big = SimParams(window_radius=2.0 * p_small.window_radius, trials=1, seed=42)
-        r_small = sample_network(CFG, p_small, 5)
-        r_big = sample_network(CFG, p_big, 5)
+        r_small = sample_block(CFG, p_small, 5 // B)[5 % B]
+        r_big = sample_block(CFG, p_big, 5 // B)[5 % B]
         n = r_small.bs_points.shape[0]
         assert r_big.bs_points.shape[0] > n
         assert np.array_equal(r_big.bs_points[:n], r_small.bs_points)
@@ -130,17 +127,17 @@ class TestSampleNetwork:
 
 class TestSirSample:
     def test_single_station_is_covered_at_any_threshold(self):
-        r = realization_from_points([(2.0, 1.0)], [0.7])
+        r = Realization(np.array([[2.0, 1.0]]), 0, math.sqrt(5.0), np.array([0.7]))
         assert sir_sample(r, PathlossModel.BOUNDED_G1, 4.0) == math.inf
 
     def test_equidistant_equal_fading_gives_unit_sir(self):
-        r = realization_from_points([(1.0, 0.0), (-1.0, 0.0)], [0.9, 0.9])
+        r = Realization(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0, 1.0, np.array([0.9, 0.9]))
         for model in PathlossModel:
             assert sir_sample(r, model, 4.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_three_station_hand_computation(self):
-        r = realization_from_points([(1.0, 0.0), (0.0, 2.0), (3.0, 0.0)],
-                                    [0.5, 2.0, 1.0])
+        r = Realization(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]), 0, 1.0,
+                        np.array([0.5, 2.0, 1.0]))
         expected = (0.5 * 2.0**-4) / (2.0 * 3.0**-4 + 1.0 * 4.0**-4)
         assert sir_sample(r, PathlossModel.BOUNDED_G1, 4.0) == pytest.approx(
             expected, rel=1e-14)
@@ -157,7 +154,7 @@ class TestSirSample:
                 sir_sample(r, PathlossModel.BOUNDED_G1, cfg.alpha)
 
     def test_unbounded_rejects_station_at_origin(self):
-        r = realization_from_points([(0.0, 0.0), (1.0, 1.0)], [1.0, 1.0])
+        r = Realization(np.array([[0.0, 0.0], [1.0, 1.0]]), 0, 0.0, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             sir_sample(r, PathlossModel.UNBOUNDED, 4.0)
 
@@ -223,19 +220,6 @@ class TestEstimates:
         ref = analytic.cp_g2(cfg).value
         se = math.sqrt(max(ref * (1.0 - ref), est.mean * (1.0 - est.mean)) / 20_000)
         assert abs(est.mean - ref) <= 3.0 * se
-
-    def test_ase_is_scaled_coverage(self):
-        params = params_for(0.3, 2000)
-        cp = estimate_cp(CFG, PathlossModel.BOUNDED_G2, params)
-        ase = estimate_ase(CFG, PathlossModel.BOUNDED_G2, params)
-        scale = 0.3 * math.log2(11.0)
-        assert ase.mean == scale * cp.mean
-        assert ase.stderr == scale * cp.stderr
-
-    def test_zero_coverage_gives_zero_ase(self):
-        cfg = NetworkConfig(5.0, 4.0, 10.0)  # coverage ~ 1e-30 at this density
-        ase = estimate_ase(cfg, PathlossModel.BOUNDED_G1, params_for(5.0, 300))
-        assert ase.mean == 0.0
 
     def test_transmit_power_never_enters(self):
         params = params_for(0.3, 1500)

@@ -3,12 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from densecov.model import (
     NetworkConfig,
     PathlossModel,
-    ServingDistanceDist,
     _derived_constants,
     derived_constants,
     pathloss_gain,
@@ -78,6 +76,14 @@ class TestNetworkConfig:
         (dict(lambda_bs=1.0, alpha=2.0, tau=1.0), "alpha"),
         (dict(lambda_bs=1.0, alpha=4.0, tau=0.0), "tau"),
         (dict(lambda_bs=1.0, alpha=4.0, tau=1.0, p_bs=-1.0), "p_bs"),
+        (dict(lambda_bs=math.inf, alpha=4.0, tau=1.0), "lambda_bs"),
+        (dict(lambda_bs=math.nan, alpha=4.0, tau=1.0), "lambda_bs"),
+        (dict(lambda_bs=1.0, alpha=math.inf, tau=1.0), "alpha"),
+        (dict(lambda_bs=1.0, alpha=math.nan, tau=1.0), "alpha"),
+        (dict(lambda_bs=1.0, alpha=4.0, tau=math.inf), "tau"),
+        (dict(lambda_bs=1.0, alpha=4.0, tau=math.nan), "tau"),
+        (dict(lambda_bs=1.0, alpha=4.0, tau=1.0, p_bs=math.inf), "p_bs"),
+        (dict(lambda_bs=1.0, alpha=4.0, tau=1.0, p_bs=math.nan), "p_bs"),
     ])
     def test_rejects_bad_fields(self, kwargs, needle):
         with pytest.raises(ValueError, match=needle):
@@ -130,17 +136,3 @@ class TestDerivedConstants:
         with pytest.raises(ValueError):
             derived_constants(4.0, 0.0)
 
-
-class TestServingDistanceDist:
-    @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
-    def test_pdf_normalization(self, lam):
-        dist = ServingDistanceDist(lam)
-        total, _ = integrate.quad(dist.pdf, 0.0, np.inf, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_cdf_matches_pdf(self):
-        dist = ServingDistanceDist(0.05)
-        x = 1.7
-        val, _ = integrate.quad(dist.pdf, 0.0, x, limit=100)
-        assert dist.cdf(x) == pytest.approx(val, abs=1e-12)
-        assert dist.cdf(0.0) == 0.0
