@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -105,6 +106,31 @@ def _cp(raw: float, method: str) -> CpValue:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
+def _panels(v_lo: float):
+    """Midpoints and half-widths of the panels on [v_lo, _V_MAX]."""
+    span = _V_MAX - v_lo
+    edges = np.concatenate([[v_lo], v_lo + span * 2.0 ** -np.arange(_PANEL_LEVELS, -1, -1.0)])
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+
+
+def _panel_rule(panels, nodes: int):
+    """Nodes and weights in v of the composite rule on the given panels."""
+    mids, halfs = panels
+    t, w = specfun._leggauss(nodes)
+    v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
+    wts = (halfs[:, None] * w[None, :]).ravel()
+    return v, wts
+
+
+@lru_cache(maxsize=_MAX_NODE_DOUBLINGS + 1)
+def _origin_panel_rule(nodes: int):
+    """The rule on [0, _V_MAX], which every density shares; read-only."""
+    v, wts = _panel_rule(_panels(0.0), nodes)
+    v.flags.writeable = False
+    wts.flags.writeable = False
+    return v, wts
+
+
 def expectation_over_serving_distance(exponent, lam: float,
                                       min_distance: float = 0.0) -> float:
     """E[exp(-exponent(x))] over the serving distance x, optionally restricted
@@ -113,19 +139,17 @@ def expectation_over_serving_distance(exponent, lam: float,
 
     exponent must accept a distance array and return nonnegative values.
     """
-    sqrt_a = math.sqrt(math.pi * lam)
+    a = math.pi * float(lam)
+    if not math.isfinite(a):
+        raise OverflowError(f"pi*lambda overflows at lambda={lam:g} BS/m^2")
+    sqrt_a = math.sqrt(a)
     v_lo = min_distance * sqrt_a
     if v_lo >= _V_MAX:
         return 0.0
-    span = _V_MAX - v_lo
-    edges = np.concatenate([[v_lo], v_lo + span * 2.0 ** -np.arange(_PANEL_LEVELS, -1, -1.0)])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
+    rule = _origin_panel_rule if v_lo == 0.0 else partial(_panel_rule, _panels(v_lo))
 
     def evaluate(nodes: int) -> float:
-        t, w = specfun._leggauss(nodes)
-        v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-        wts = (halfs[:, None] * w[None, :]).ravel()
+        v, wts = rule(nodes)
         x = v / sqrt_a
         log_integrand = -(v * v) - exponent(x)
         return float(wts @ (2.0 * v * np.exp(log_integrand)))

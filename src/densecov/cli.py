@@ -81,7 +81,8 @@ def _write(lines, path: str):
             fh.write(text)
 
 
-def _common_flags(p: argparse.ArgumentParser, sweep: bool = True,
+def _common_flags(p: argparse.ArgumentParser, density_range: bool = True,
+                  points: bool = True, simulate: bool = True,
                   model_choices: tuple = ("upm", "g1", "g2", "minb"),
                   model_default: str = "g1"):
     p.add_argument("--alpha", type=float, default=4.0, help="pathloss exponent (> 2)")
@@ -89,14 +90,16 @@ def _common_flags(p: argparse.ArgumentParser, sweep: bool = True,
     p.add_argument("--p-bs", type=float, default=20.0,
                    help="transmit power in dBmW (cancels in every result; kept testable)")
     p.add_argument("--model", default=model_default, choices=list(model_choices))
-    if sweep:
+    if density_range:
         p.add_argument("--lambda-min", type=float, default=1e-6, help="BS/m^2")
         p.add_argument("--lambda-max", type=float, default=10.0, help="BS/m^2")
+    if points:
         p.add_argument("--points", type=int, default=40,
                        help=f"log-spaced density points (1 to {MAX_POINTS:,})")
-    p.add_argument("--trials", type=int, default=0,
-                   help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})")
-    p.add_argument("--seed", type=int, default=42)
+    if simulate:
+        p.add_argument("--trials", type=int, default=0,
+                       help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})")
+        p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", default="stdout", help="CSV destination path or 'stdout'")
 
 
@@ -114,11 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_ase)
 
     p_opt = sub.add_parser("optimal-density", help="ASE-maximizing density report")
-    _common_flags(p_opt)
+    # analytic only: the search sets its own densities and draws nothing
+    _common_flags(p_opt, points=False, simulate=False)
 
     p_val = sub.add_parser("validate", help="Monte Carlo vs analytic comparison grid")
     # by default the comparison covers every model with an analytic curve
-    _common_flags(p_val, sweep=False,
+    _common_flags(p_val, density_range=False, points=False,
                   model_choices=("all", "upm", "g1", "g2", "minb"),
                   model_default="all")
     p_val.add_argument("--mc-model", default=None, choices=["upm", "g1", "g2", "minb"],
@@ -134,12 +138,11 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _check_common(args, sweep: bool = True) -> str | None:
-    floats = ("alpha", "tau_db", "p_bs")
-    if sweep:
-        floats += ("lambda_min", "lambda_max")
-    for name in floats:
-        if not math.isfinite(getattr(args, name)):
+def _check_common(args) -> str | None:
+    """Check the flags of _common_flags that this command has."""
+    has = vars(args)
+    for name in ("alpha", "tau_db", "p_bs", "lambda_min", "lambda_max"):
+        if name in has and not math.isfinite(has[name]):
             return f"--{name.replace('_', '-')} must be finite"
     if not args.alpha > 2.0:
         return "--alpha must exceed 2"
@@ -148,16 +151,16 @@ def _check_common(args, sweep: bool = True) -> str | None:
         return f"--tau-db must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
     if abs(args.p_bs) > MAX_ABS_DB:
         return f"--p-bs must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
-    if sweep:
+    if "lambda_min" in has:
         if not args.lambda_min > 0.0:
             return "--lambda-min must be positive"
         if args.lambda_max < args.lambda_min:
             return "--lambda-max must be >= --lambda-min"
-        if not 1 <= args.points <= MAX_POINTS:
-            return f"--points must lie in [1, {MAX_POINTS}]"
-    if not 0 <= args.trials <= MAX_TRIALS:
+    if "points" in has and not 1 <= args.points <= MAX_POINTS:
+        return f"--points must lie in [1, {MAX_POINTS}]"
+    if "trials" in has and not 0 <= args.trials <= MAX_TRIALS:
         return f"--trials must lie in [0, {MAX_TRIALS}]"
-    if not 0 <= args.seed < 2**64:
+    if "seed" in has and not 0 <= args.seed < 2**64:
         return "--seed must lie in [0, 2^64)"
     return None
 
@@ -294,7 +297,7 @@ def cmd_optimal_density(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    problem = _check_common(args, sweep=False)
+    problem = _check_common(args)
     if problem:
         return _usage_error(problem)
     if args.trials < VALIDATE_MIN_TRIALS:

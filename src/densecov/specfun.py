@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _legendre
+
 _SQRT_PI = math.sqrt(math.pi)
 
 # hyf_series terms at least halve, so the last of 56 is below 2^-56 = 1.4e-17
@@ -131,26 +133,48 @@ def _erfc_cf_denominator(x: float) -> float:
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights for n in _legendre.RULES."""
+    half = np.array([float(tok) for tok in _legendre.RULES[n].split()])
+    x, w = half[: n // 2], half[n // 2:]
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+@lru_cache(maxsize=64)
+def _series_ratios(c: float) -> tuple[float, ...]:
+    return tuple((k + 1.0) / (c + k) for k in range(_SERIES_TERMS))
 
 
 def hyf_series(w, c: float):
     """F(c; w) = 2F1(1, 1; c; w) = sum_k k!/(c)_k w^k for 0 <= w <= 1/2, c >= 1.
 
     Term k+1 is term k times w (k+1)/(c+k) <= 1/2 and the sum is at least 1,
-    so the sum stops once every entry's last term is below 1e-17 of it, or
-    after _SERIES_TERMS terms, when each is below 1.4e-17 of it.
+    so the sum stops once every entry's last term is at most 1e-17, or after
+    _SERIES_TERMS terms, when each is below 1.4e-17.  Every term grows with w
+    and rounding is monotone, so the largest argument's term is the last to
+    fall that far: the term count comes from replaying the recurrence on
+    w.max() alone, and every entry then takes exactly that many terms.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(~((0.0 <= w) & (w <= 0.5))):
+    if w.size == 0:
+        return np.ones_like(w)
+    w_max = float(w.max())
+    # written so that a NaN fails the check
+    if not (w.min() >= 0.0 and w_max <= 0.5):
         raise ValueError("series argument must lie in [0, 1/2]")
+    ratios = _series_ratios(c)
+    t = 1.0
+    n = _SERIES_TERMS
+    for k, r in enumerate(ratios):
+        t = t * w_max * r
+        if not t > 1e-17:
+            n = k + 1
+            break
     total = np.ones_like(w)
     term = np.ones_like(w)
-    for k in range(_SERIES_TERMS):
-        term = term * w * ((k + 1.0) / (c + k))
+    for r in ratios[:n]:
+        np.multiply(term, w, out=term)
+        np.multiply(term, r, out=term)
         total += term
-        if not np.any(term > 1e-17):
-            break
     return total
 
 

@@ -1,7 +1,9 @@
-"""Independent quadrature oracles the tests freeze expected values against.
+"""Independent oracles the tests freeze expected values against.
 
-These deliberately evaluate defining integrals through QUADPACK routes that
-share nothing with the package's own panel/series evaluations.
+The quadrature oracles deliberately evaluate defining integrals through
+QUADPACK routes that share nothing with the package's own panel/series
+evaluations.  hyf_series_reference is the plain term-by-term series loop,
+kept as the exact reference for specfun.hyf_series.
 """
 
 import numpy as np
@@ -29,3 +31,19 @@ def serving_distance_expectation(fn, lam):
     val, _ = integrate.quad(lambda x: 2.0 * a * x * np.exp(-a * x * x) * fn(x),
                             0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=400)
     return val
+
+
+def hyf_series_reference(w, c):
+    """F(c; w) = 2F1(1, 1; c; w) summed until every entry's term is at most
+    1e-17, checked after each term, or after 56 terms."""
+    w = np.asarray(w, dtype=float)
+    if np.any(~((0.0 <= w) & (w <= 0.5))):
+        raise ValueError("series argument must lie in [0, 1/2]")
+    total = np.ones_like(w)
+    term = np.ones_like(w)
+    for k in range(56):
+        term = term * w * ((k + 1.0) / (c + k))
+        total += term
+        if not np.any(term > 1e-17):
+            break
+    return total

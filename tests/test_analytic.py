@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from densecov import analytic
+from densecov import analytic, specfun
 from densecov.analytic import (
     BracketError,
     ConsistencyError,
@@ -30,7 +34,7 @@ from densecov.analytic import (
 )
 from densecov.model import NetworkConfig, PathlossModel, derived_constants
 
-from oracles import serving_distance_expectation
+from oracles import hyf_series_reference, serving_distance_expectation
 
 A4T10 = dict(alpha=4.0, tau=10.0)
 
@@ -74,6 +78,19 @@ def cfg_at(lam, **over):
     return NetworkConfig(lambda_bs=lam, **base)
 
 
+def inline_panel_rule(v_lo, nodes):
+    """The composite v-rule built from scratch, as every call once built it."""
+    span = analytic._V_MAX - v_lo
+    edges = np.concatenate(
+        [[v_lo], v_lo + span * 2.0 ** -np.arange(analytic._PANEL_LEVELS, -1, -1.0)])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
+    wts = (halfs[:, None] * w[None, :]).ravel()
+    return v, wts
+
+
 class TestQuadratureEngine:
     def test_matches_independent_oracle(self):
         lam = 0.07
@@ -81,6 +98,50 @@ class TestQuadratureEngine:
         mine = expectation_over_serving_distance(exponent, lam)
         ref = serving_distance_expectation(lambda x: math.exp(-3.0 * x - 0.5 * x * x), lam)
         assert mine == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("nodes", [24, 48, 96, 192])
+    def test_cached_origin_rule_is_read_only_and_exact(self, nodes):
+        v, wts = analytic._origin_panel_rule(nodes)
+        assert analytic._origin_panel_rule(nodes)[0] is v
+        ref_v, ref_wts = inline_panel_rule(0.0, nodes)
+        assert np.array_equal(v, ref_v) and np.array_equal(wts, ref_wts)
+        for arr in (v, wts):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_stored_legendre_rules_equal_leggauss(self):
+        counts = {analytic._PANEL_NODES * 2**k for k in range(analytic._MAX_NODE_DOUBLINGS + 1)}
+        assert set(specfun._legendre.RULES) == counts
+        for nodes in sorted(counts):
+            for got, ref in zip(specfun._leggauss(nodes),
+                                np.polynomial.legendre.leggauss(nodes)):
+                assert np.array_equal(got, ref)
+
+    def test_quadrature_loads_no_eigensolver(self):
+        # leggauss would import numpy.polynomial and run an eigensolver,
+        # about 2 MB and 5 ms in every process
+        env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).resolve().parents[1]))
+        code = ("import sys; from densecov import analytic, NetworkConfig; "
+                "analytic.cp_g2(NetworkConfig(0.3, 4.0, 10.0)); "
+                "[analytic._origin_panel_rule(n) for n in (24, 48, 96, 192)]; "
+                "sys.exit('numpy.polynomial' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_restricted_expectation_builds_its_own_rule(self, monkeypatch):
+        def refuse(nodes):
+            raise AssertionError("the origin rule serves only min_distance == 0")
+
+        lam = 0.05
+        expected = cp_g2_lower(cfg_at(lam))
+        monkeypatch.setattr(analytic, "_origin_panel_rule", refuse)
+        assert cp_g2_lower(cfg_at(lam)) == expected
+        with pytest.raises(AssertionError):
+            cp_g2(cfg_at(lam))
+
+    @pytest.mark.parametrize("lam", [1.0e308, 1.7e308, math.inf])
+    def test_overflowing_density_raises_overflow_error(self, lam):
+        with pytest.raises(OverflowError, match="lambda="):
+            expectation_over_serving_distance(lambda x: x, lam)
 
 
 
@@ -194,6 +255,22 @@ class TestCpG2:
         alpha, tau = case
         for lam, ref in zip(CP_G2_FROZEN_LAMBDAS, CP_G2_FROZEN[case]):
             assert abs(cp_g2(NetworkConfig(lam, alpha, tau)).value - ref) <= 1e-12
+
+    def test_series_and_node_cache_change_no_bit(self, monkeypatch):
+        # the same frozen grid, evaluated by the current code and then with
+        # the checked-every-term series and a rule rebuilt on every call
+        cases = [(alpha, tau, lam) for alpha, tau in sorted(CP_G2_FROZEN)
+                 for lam in CP_G2_FROZEN_LAMBDAS]
+
+        def values():
+            return [(cp_g2(cfg).raw.hex(), cp_g1_quadrature(cfg).raw.hex())
+                    for cfg in (NetworkConfig(lam, alpha, tau) for alpha, tau, lam in cases)]
+
+        current = values()
+        monkeypatch.setattr(analytic.specfun, "hyf_series", hyf_series_reference)
+        monkeypatch.setattr(analytic, "_origin_panel_rule",
+                            lambda nodes: inline_panel_rule(0.0, nodes))
+        assert current == values()
 
     def test_threshold_to_zero(self):
         assert cp_g2(cfg_at(0.3, tau=1e-12)).value == pytest.approx(1.0, abs=1e-9)

@@ -98,6 +98,10 @@ class TestFlagValidation:
         ["cp-sweep", "--trials", "1", "--lambda-min", "1e300", "--lambda-max", "1e300",
          "--points", "1"],
         ["validate", "--model", "g1", "--lambda-grid", "1e300"],
+        # optimal-density is analytic only
+        ["optimal-density", "--trials", "7"],
+        ["optimal-density", "--model", "g2", "--seed", "3"],
+        ["optimal-density", "--points", "2"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         # argparse refuses an unknown flag by raising SystemExit itself
@@ -114,11 +118,15 @@ class TestFlagValidation:
         ["validate", "--model", "g1", "--lambda-grid", "1e-200"],  # powers underflow
         ["optimal-density", "--model", "g2", "--alpha", "1000",    # 2^alpha/(pi c_hat)
          "--tau-db", "-100", "--lambda-max", "1e300"],            # overflows
+        ["cp-sweep", "--model", "g2", "--lambda-min", "1e308",   # pi*lambda
+         "--lambda-max", "1e308", "--points", "1"],              # overflows
+        ["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"],
     ])
     def test_numerical_failures_exit_3(self, capsys, argv):
         assert main(argv) == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_model_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -317,12 +325,15 @@ def analytic_argv(draw):
     """A sweep or optimal-density command line inside the documented ranges."""
     log_lam = st.floats(-8.0, 3.0)
     lo, hi = sorted(10.0 ** draw(log_lam) for _ in range(2))
-    return [draw(st.sampled_from(["cp-sweep", "ase-sweep", "optimal-density"])),
+    command = draw(st.sampled_from(["cp-sweep", "ase-sweep", "optimal-density"]))
+    argv = [command,
             "--model", draw(st.sampled_from(["upm", "g1", "g2", "minb"])),
             "--alpha", repr(draw(st.floats(2.0, 10.0, exclude_min=True))),
             "--tau-db", repr(draw(st.floats(-20.0, 30.0))),
-            "--lambda-min", repr(lo), "--lambda-max", repr(hi),
-            "--points", str(draw(st.integers(1, 3)))]
+            "--lambda-min", repr(lo), "--lambda-max", repr(hi)]
+    if command != "optimal-density":
+        argv += ["--points", str(draw(st.integers(1, 3)))]
+    return argv
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

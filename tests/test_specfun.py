@@ -6,7 +6,7 @@ import pytest
 from densecov import specfun
 from densecov.specfun import HypParams, erfc, erfcx, f1, f2, f3, hyf1, hyf2
 
-from oracles import erfc_defining_integral, euler_integral
+from oracles import erfc_defining_integral, euler_integral, hyf_series_reference
 
 # frozen from the defining-integral oracle (40-digit evaluation)
 ERFC_AT_1 = 0.15729920705028513066
@@ -115,6 +115,37 @@ class TestHypergeometric:
             HypParams(0.0)
         with pytest.raises(ValueError):
             HypParams.from_alpha(2.0)
+
+
+class TestSeriesParity:
+    """hyf_series takes its term count from the largest argument; the sums
+    must equal, bit for bit, those of the loop that checks every term."""
+
+    @pytest.mark.parametrize("top", [0.5, 0.1, 1e-3])
+    def test_random_arguments_with_a_pinned_maximum(self, top):
+        rng = np.random.default_rng(int(1e3 * top))
+        for _ in range(100):
+            w = rng.uniform(0.0, top, int(rng.integers(1, 300)))
+            w[rng.integers(w.size)] = top
+            c = float(rng.uniform(1.0, 2.0))
+            assert np.array_equal(specfun.hyf_series(w, c), hyf_series_reference(w, c))
+
+    @pytest.mark.parametrize("c", [1.0, 1.2, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("w", [np.zeros(7), np.array([]), np.array([0.5]),
+                                   np.array([0.3]), np.array([1e-300]),
+                                   np.float64(0.25)],
+                             ids=["zeros", "empty", "half", "one", "tiny", "scalar"])
+    def test_edge_arguments(self, w, c):
+        got, ref = specfun.hyf_series(w, c), hyf_series_reference(w, c)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("w", [[0.1, -1e-300], [0.5000000000000001], [0.2, math.nan],
+                                   [math.nan], [math.inf]])
+    def test_out_of_range_raises_as_before(self, w):
+        for fn in (specfun.hyf_series, hyf_series_reference):
+            with pytest.raises(ValueError, match="series argument"):
+                fn(np.array(w), 1.5)
 
 
 class TestMonotoneFunctionals:
