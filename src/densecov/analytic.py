@@ -5,15 +5,18 @@ serving distance.
 
 Every coverage expression reduces to E[exp(-E(x))] where x is the distance
 to the nearest base station (PDF 2 pi lam x exp(-pi lam x^2)) and E is a
-model-dependent nonnegative exponent.  The closed forms in this module all
-follow from the Gaussian-type identity
+model-dependent nonnegative exponent.  Every bound with a quadratic
+exponent (g1 lower and upper, g2 lower, ASE lower, the scaling ratio)
+follows from one Gaussian tail identity over x >= x0,
 
-    E[exp(-pi lam c (1+x)^2)]
-        = exp(-pi lam c) [ 1/(1+c)
-            - pi sqrt(lam) c erfcx(z) / (1+c)^(3/2) ],   z = sqrt(pi lam) c / sqrt(1+c),
+    E[exp(-pi lam c (1+x)^2); x >= x0]
+        = exp(-pi lam (x0^2 + c (1+x0)^2)) [ 1/(1+c)
+            - pi sqrt(lam) c erfcx(z) / (1+c)^(3/2) ],
+    z = sqrt(pi lam) (c + (1+c) x0) / sqrt(1+c),
 
 written with the scaled complement erfcx so that both terms share one
-exponential prefactor and stay representable at any density.
+exponential prefactor and stay representable at any density.  Only the
+exact coverages use quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,36 +109,22 @@ def _cp(raw: float, method: str) -> CpValue:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
-def _panels(v_lo: float):
-    """Midpoints and half-widths of the panels on [v_lo, _V_MAX]."""
-    span = _V_MAX - v_lo
-    edges = np.concatenate([[v_lo], v_lo + span * 2.0 ** -np.arange(_PANEL_LEVELS, -1, -1.0)])
-    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-
-
-def _panel_rule(panels, nodes: int):
-    """Nodes and weights in v of the composite rule on the given panels."""
-    mids, halfs = panels
+@lru_cache(maxsize=_MAX_NODE_DOUBLINGS + 1)
+def _origin_panel_rule(nodes: int):
+    """Nodes and weights in v of the composite rule on [0, _V_MAX], which
+    every density shares; read-only."""
+    edges = np.concatenate([[0.0], _V_MAX * 2.0 ** -np.arange(_PANEL_LEVELS, -1, -1.0)])
+    mids, halfs = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     t, w = specfun._leggauss(nodes)
     v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
     wts = (halfs[:, None] * w[None, :]).ravel()
-    return v, wts
-
-
-@lru_cache(maxsize=_MAX_NODE_DOUBLINGS + 1)
-def _origin_panel_rule(nodes: int):
-    """The rule on [0, _V_MAX], which every density shares; read-only."""
-    v, wts = _panel_rule(_panels(0.0), nodes)
     v.flags.writeable = False
     wts.flags.writeable = False
     return v, wts
 
 
-def expectation_over_serving_distance(exponent, lam: float,
-                                      min_distance: float = 0.0) -> float:
-    """E[exp(-exponent(x))] over the serving distance x, optionally restricted
-    to x >= min_distance (the restricted form is the plain tail integral, not
-    renormalized by the tail probability).
+def expectation_over_serving_distance(exponent, lam: float) -> float:
+    """E[exp(-exponent(x))] over the serving distance x.
 
     exponent must accept a distance array and return nonnegative values.
     """
@@ -143,13 +132,9 @@ def expectation_over_serving_distance(exponent, lam: float,
     if not math.isfinite(a):
         raise OverflowError(f"pi*lambda overflows at lambda={lam:g} BS/m^2")
     sqrt_a = math.sqrt(a)
-    v_lo = min_distance * sqrt_a
-    if v_lo >= _V_MAX:
-        return 0.0
-    rule = _origin_panel_rule if v_lo == 0.0 else partial(_panel_rule, _panels(v_lo))
 
     def evaluate(nodes: int) -> float:
-        v, wts = rule(nodes)
+        v, wts = _origin_panel_rule(nodes)
         x = v / sqrt_a
         log_integrand = -(v * v) - exponent(x)
         return float(wts @ (2.0 * v * np.exp(log_integrand)))
@@ -215,11 +200,6 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     return out
 
 
-def _exponent_g2_lower(x, lam: float, alpha: float, dc: DerivedConstants):
-    x = np.asarray(x, dtype=float)
-    return math.pi * lam * dc.c1 * 2.0 ** (alpha - 2.0) * (1.0 + x) ** 2
-
-
 # ---------------------------------------------------------------------------
 # coverage probability
 # ---------------------------------------------------------------------------
@@ -272,24 +252,31 @@ def cp_g1_closed(cfg: NetworkConfig, verify: bool = True) -> CpValue:
     return _cp(raw, "closed_form")
 
 
-def _quadratic_gain_expectation(lam: float, c: float) -> float:
-    """E[exp(-pi lam c (1+x)^2)] in the erfcx folding of the module docstring."""
-    z = math.sqrt(math.pi * lam) * c / math.sqrt(1.0 + c)
-    bracket = 1.0 / (1.0 + c) \
-        - math.pi * math.sqrt(lam) * c * specfun.erfcx(z) / (1.0 + c) ** 1.5
-    return math.exp(-math.pi * lam * c) * bracket
+def _quadratic_gain_tail(lam: float, c: float, x0: float = 0.0) -> tuple[float, float]:
+    """E[exp(-pi lam c (1+x)^2); x >= x0] by the identity of the module
+    docstring, and q = pi sqrt(lam) c erfcx(z) / sqrt(1+c), the ratio of its
+    correction term to its leading one, which stays finite where the
+    expectation underflows."""
+    root_a, s = math.sqrt(math.pi * lam), math.sqrt(1.0 + c)
+    z = root_a * c / s + x0 * root_a * s
+    g = math.pi * math.sqrt(lam) * c * specfun.erfcx(z)
+    prefactor = math.exp(-math.pi * lam * (x0 * x0 + c * (1.0 + x0) ** 2))
+    # an underflowed prefactor needs no bracket, whose (1+c)^1.5 overflows
+    # once c exceeds about 1e205 (2^(a-2) c1 at alpha above about 680)
+    value = prefactor * (1.0 / (1.0 + c) - g / (1.0 + c) ** 1.5) if prefactor > 0.0 else 0.0
+    return value, g / s
 
 
 def cp_g1_lower(cfg: NetworkConfig) -> CpValue:
     """Lower bound: drop the -c2 relief from the exponent (c -> c1)."""
     dc = derived_constants(cfg.alpha, cfg.tau)
-    return _cp(_quadratic_gain_expectation(cfg.lambda_bs, dc.c1), "closed_form")
+    return _cp(_quadratic_gain_tail(cfg.lambda_bs, dc.c1)[0], "closed_form")
 
 
 def cp_g1_upper(cfg: NetworkConfig) -> CpValue:
     """Upper bound: scale the relief with distance (c -> c_hat)."""
     dc = derived_constants(cfg.alpha, cfg.tau)
-    return _cp(_quadratic_gain_expectation(cfg.lambda_bs, dc.c_hat), "closed_form")
+    return _cp(_quadratic_gain_tail(cfg.lambda_bs, dc.c_hat)[0], "closed_form")
 
 
 def cp_g2(cfg: NetworkConfig) -> CpValue:
@@ -302,17 +289,15 @@ def cp_g2(cfg: NetworkConfig) -> CpValue:
 
 def cp_g2_lower(cfg: NetworkConfig) -> CpValue:
     """Lower bound for the inverse-polynomial law: tail integral over
-    x >= 1 of exp(-pi lam c1 2^(a-2) (1+x)^2).
+    x >= 1 of exp(-pi lam beta (1+x)^2), beta = 2^(a-2) c1.
 
-    The restriction is the plain tail integral (no renormalization); that is
-    what the matching closed-form throughput bound integrates to, and being a
-    sub-integral of a positive integrand it is a valid lower bound on its own.
+    The restriction is the plain tail integral (no renormalization); being a
+    sub-integral of a positive integrand it is a valid lower bound on its own,
+    and ase_lower scales it into the throughput envelope.
     """
     dc = derived_constants(cfg.alpha, cfg.tau)
-    lam = cfg.lambda_bs
-    val = expectation_over_serving_distance(
-        lambda x: _exponent_g2_lower(x, lam, cfg.alpha, dc), lam, min_distance=1.0)
-    return _cp(val, "quadrature")
+    beta = 2.0 ** (cfg.alpha - 2.0) * dc.c1
+    return _cp(_quadratic_gain_tail(cfg.lambda_bs, beta, 1.0)[0], "closed_form")
 
 
 def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
@@ -359,22 +344,13 @@ def ase_upper(cfg: NetworkConfig) -> AseValue:
 
 
 def ase_lower(cfg: NetworkConfig) -> AseValue:
-    """Lower envelope, the printed two-term bracket with erfc.
+    """Lower envelope lam log2(1+tau) times the g2 tail bound cp_g2_lower.
 
     Underflows to zero once pi lam (1 + 2^a c1) exceeds the float range;
     scaling_envelope_check carries the ratio form that stays finite.
     """
-    dc = derived_constants(cfg.alpha, cfg.tau)
     lam = cfg.lambda_bs
-    beta = 2.0 ** (cfg.alpha - 2.0) * dc.c1
-    term1 = math.exp(-math.pi * lam * (1.0 + 2.0**cfg.alpha * dc.c1)) / (1.0 + beta)
-    term2 = (beta * math.pi * math.sqrt(lam)
-             * math.exp(-math.pi * lam * beta / (1.0 + beta))
-             * specfun.erfc(math.sqrt(math.pi * lam) * (1.0 + 2.0 * beta)
-                            / math.sqrt(1.0 + beta))
-             / (1.0 + beta) ** 1.5)
-    val = lam * math.log2(1.0 + cfg.tau) * (term1 - term2)
-    return AseValue(max(val, 0.0), lam)
+    return AseValue(lam * math.log2(1.0 + cfg.tau) * cp_g2_lower(cfg).value, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +461,14 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
     The upper envelope is exactly proportional to lam e^(-kappa_upper lam);
     the lower one satisfies
 
-        A_L / (lam e^(-kappa_lower lam))
-            = log2(1+tau)/(1+beta) * (1 - beta pi sqrt(lam) erfcx(z)/sqrt(1+beta)),
+        A_L / (lam e^(-kappa_lower lam)) = log2(1+tau)/(1+beta) * (1 - q),
+        q = beta pi sqrt(lam) erfcx(z)/sqrt(1+beta),
         z = sqrt(pi lam)(1+2 beta)/sqrt(1+beta),  beta = 2^(a-2) c1,
 
-    where the exponential factors have been cancelled exactly, so the ratio
-    stays finite long after the envelope itself underflows.  The correction
-    ratio tends to beta/(1+2 beta) < 1/2, which keeps the tail constant m
-    positive.
+    the tail identity of the module docstring at c = beta, x0 = 1 with its
+    exponential factor cancelled exactly, so the ratio stays finite long
+    after the envelope itself underflows.  The correction ratio q tends to
+    beta/(1+2 beta) < 1/2, which keeps the tail constant m positive.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -514,8 +490,7 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
 
     points = []
     for lam in grid:
-        z = math.sqrt(math.pi * lam) * (1.0 + 2.0 * beta) / math.sqrt(1.0 + beta)
-        q2q1 = beta * math.pi * math.sqrt(lam) * specfun.erfcx(z) / math.sqrt(1.0 + beta)
+        q2q1 = _quadratic_gain_tail(float(lam), beta, 1.0)[1]
         lower_ratio = rate / (1.0 + beta) * (1.0 - q2q1)
         # the upper envelope is proportional to its rate function by
         # construction; recompute the ratio where the rate is representable

@@ -377,6 +377,9 @@ def main(argv=None) -> int:
         # since every command writes its CSV only after the last row
         print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # from _write: a missing directory, a directory, no permission
+        return _usage_error(f"cannot write --output {args.output}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

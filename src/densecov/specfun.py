@@ -204,29 +204,18 @@ def hyf2(x, p: HypParams):
     return _hyf(x, 1.0 - 0.5 * p.delta)
 
 
-def _check_monotone_args(x, alpha: float):
-    if not alpha > 2.0:
-        raise ValueError(f"alpha must exceed 2, got {alpha}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("argument must be >= 0")
-
-
 def f1(x, alpha: float):
     """First monotone functional: hyf1 itself (strictly decreasing in x)."""
-    _check_monotone_args(x, alpha)
     return hyf1(x, HypParams.from_alpha(alpha))
 
 
 def f2(x, alpha: float):
     """Second monotone functional hyf1(x)/(alpha-2) - hyf2(x)/(alpha-1)."""
-    _check_monotone_args(x, alpha)
     p = HypParams.from_alpha(alpha)
     return hyf1(x, p) / (alpha - 2.0) - hyf2(x, p) / (alpha - 1.0)
 
 
 def f3(x, alpha: float):
     """Ratio hyf2(x)/hyf1(x): decreasing from 1 at x = 0, stays in (0, 1]."""
-    _check_monotone_args(x, alpha)
     p = HypParams.from_alpha(alpha)
     return hyf2(x, p) / hyf1(x, p)

@@ -25,11 +25,12 @@ def erfc_defining_integral(x):
     return 2.0 / np.sqrt(np.pi) * val
 
 
-def serving_distance_expectation(fn, lam):
-    """E[fn(x)] under the nearest-point distance PDF 2 pi lam x e^(-pi lam x^2)."""
+def serving_distance_expectation(fn, lam, x0=0.0):
+    """E[fn(x); x >= x0] under the nearest-point distance PDF
+    2 pi lam x e^(-pi lam x^2): the plain tail integral, not renormalized."""
     a = np.pi * lam
     val, _ = integrate.quad(lambda x: 2.0 * a * x * np.exp(-a * x * x) * fn(x),
-                            0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=400)
+                            x0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=400)
     return val
 
 

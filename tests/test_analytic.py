@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -72,6 +73,61 @@ CP_G2_FROZEN = {
 }
 
 
+# cp_g2_lower (by restricted quadrature) and ase_lower (by the printed erfc
+# bracket) as computed before both moved to the erfcx tail identity, on the
+# grid of CP_G2_FROZEN: (cp_g2_lower, ase_lower) at each density
+G2_LOWER_FROZEN = {
+    (2.5, 10.0): (
+        [0.02595833965249611, 0.024880606596520964, 0.021467880466690077,
+         0.01133642548385837, 0.00013792101747385022, 8.173893528584315e-23,
+         8.613211836900603e-205, 0.0],
+        [8.980110096117132e-08, 8.607275715088031e-07, 7.426666447159363e-06,
+         3.921758876118526e-05, 4.771283287236652e-06, 2.827702572015985e-23,
+         2.9796817366594246e-204, 0.0],
+    ),
+    (3.0, 1.0): (
+        [0.22911479766062803, 0.22658924050480483, 0.21849299786026566,
+         0.19192374696704573, 0.1063766395741579, 0.001523101405389373,
+         3.247148067622864e-21, 1.1185279996686173e-197],
+        [2.2911479766062794e-07, 2.2658924050480476e-06, 2.1849299786026563e-05,
+         0.00019192374696704563, 0.0010637663957415789, 0.00015231014053893727,
+         3.2471480676228753e-21, 1.1185279996687697e-196],
+    ),
+    (3.0, 10.0): (
+        [0.045809860857380695, 0.04441003501488199, 0.03996410589644138,
+         0.02616313469493926, 0.001966571106542544, 1.1101035824181141e-13,
+         9.843700523178197e-116, 0.0],
+        [1.5847608109539777e-07, 1.536334793152722e-06, 1.3825309154871852e-05,
+         9.050957540633933e-05, 6.803218266271781e-05, 3.840327432979809e-14,
+         3.405360883427922e-115, 0.0],
+    ),
+    (4.0, 10.0): (
+        [0.05812294687466299, 0.05656743124837142, 0.05162153255936175,
+         0.03608387380031183, 0.004516096981986442, 4.219458469925684e-11,
+         6.686963211494638e-91, 0.0],
+        [2.0107236018658492e-07, 1.956911602457075e-06, 1.785811619383707e-05,
+         0.00012482969394771672, 0.00015623128692316259, 1.4596928044387727e-11,
+         2.31330919665074e-90, 0.0],
+    ),
+    (8.0, 10.0): (
+        [0.015089125766988025, 0.014256092213419808, 0.011629495617258078,
+         0.0044354700359750645, 2.6807280015495247e-06, 1.0840331269017387e-37,
+         0.0, 0.0],
+        [5.21997987759131e-08, 4.931797616131343e-07, 4.023144484714645e-06,
+         1.5344205285970437e-05, 9.273795209526789e-08, 3.7501384748541486e-38,
+         0.0, 0.0],
+    ),
+    (30.0, 10.0): (
+        [4.863034418737304e-273, 0.0, 0.0,
+         0.0, 0.0, 0.0,
+         0.0, 0.0],
+        [1.6823335030702843e-278, 0.0, 0.0,
+         0.0, 0.0, 0.0,
+         0.0, 0.0],
+    ),
+}
+
+
 def cfg_at(lam, **over):
     base = dict(A4T10)
     base.update(over)
@@ -126,17 +182,6 @@ class TestQuadratureEngine:
                 "[analytic._origin_panel_rule(n) for n in (24, 48, 96, 192)]; "
                 "sys.exit('numpy.polynomial' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-    def test_restricted_expectation_builds_its_own_rule(self, monkeypatch):
-        def refuse(nodes):
-            raise AssertionError("the origin rule serves only min_distance == 0")
-
-        lam = 0.05
-        expected = cp_g2_lower(cfg_at(lam))
-        monkeypatch.setattr(analytic, "_origin_panel_rule", refuse)
-        assert cp_g2_lower(cfg_at(lam)) == expected
-        with pytest.raises(AssertionError):
-            cp_g2(cfg_at(lam))
 
     @pytest.mark.parametrize("lam", [1.0e308, 1.7e308, math.inf])
     def test_overflowing_density_raises_overflow_error(self, lam):
@@ -256,6 +301,14 @@ class TestCpG2:
         for lam, ref in zip(CP_G2_FROZEN_LAMBDAS, CP_G2_FROZEN[case]):
             assert abs(cp_g2(NetworkConfig(lam, alpha, tau)).value - ref) <= 1e-12
 
+    @pytest.mark.parametrize("case", sorted(G2_LOWER_FROZEN))
+    def test_lower_bounds_match_values_frozen_before_the_closed_form(self, case):
+        alpha, tau = case
+        for lam, cp_ref, ase_ref in zip(CP_G2_FROZEN_LAMBDAS, *G2_LOWER_FROZEN[case]):
+            cfg = NetworkConfig(lam, alpha, tau)
+            assert cp_g2_lower(cfg).value == pytest.approx(cp_ref, rel=1e-12, abs=0.0), lam
+            assert ase_lower(cfg).value == pytest.approx(ase_ref, rel=1e-12, abs=0.0), lam
+
     def test_series_and_node_cache_change_no_bit(self, monkeypatch):
         # the same frozen grid, evaluated by the current code and then with
         # the checked-every-term series and a rule rebuilt on every call
@@ -289,12 +342,20 @@ class TestCpG2:
             assert cp_g2(cfg_at(lam)).value <= cp_g2_upper(cfg_at(lam)).value + 1e-9
 
     def test_lower_bound_is_tail_integral(self):
-        lam = 0.05
-        dc = derived_constants(**A4T10)
-        ref = serving_distance_expectation(
-            lambda x: (math.exp(-math.pi * lam * dc.c1 * 4.0 * (1.0 + x) ** 2)
-                       if x >= 1.0 else 0.0), lam)
-        assert cp_g2_lower(cfg_at(lam)).value == pytest.approx(ref, rel=1e-7)
+        for alpha, tau in itertools.product([2.5, 4.0, 8.0, 30.0], [0.1, 10.0, 1000.0]):
+            beta = 2.0 ** (alpha - 2.0) * derived_constants(alpha, tau).c1
+            for lam in np.geomspace(1e-6, 10.0, 6):
+                ref = serving_distance_expectation(
+                    lambda x: math.exp(-math.pi * lam * beta * (1.0 + x) ** 2), lam, x0=1.0)
+                got = cp_g2_lower(NetworkConfig(lam, alpha, tau)).value
+                assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (alpha, tau, lam)
+
+    def test_lower_bound_is_zero_where_beta_is_huge(self):
+        # (1+beta)^1.5 overflows for beta above 1e205; the prefactor
+        # exp(-4 pi lam beta) has underflowed long before
+        for alpha, tau in ((1000.0, 10.0), (1023.9, 1e300)):
+            cfg = NetworkConfig(1e-6, alpha, tau)
+            assert cp_g2_lower(cfg).value == 0.0 and ase_lower(cfg).value == 0.0
 
     def test_lower_bound_below_exact_and_below_g1_lower(self):
         # the restricted tail integral sits under both coverage curves; the
@@ -371,11 +432,9 @@ class TestAseBounds:
             assert ase_lower(cfg_at(lam)).value <= ase_upper(cfg_at(lam)).value + 1e-15
 
     def test_lower_matches_scaled_tail_coverage(self):
-        # the printed bracket integrates exactly the restricted tail bound
         for lam in (1e-3, 0.1, 0.3):
             cfg = cfg_at(lam)
-            scaled = lam * math.log2(11.0) * cp_g2_lower(cfg).value
-            assert ase_lower(cfg).value == pytest.approx(scaled, rel=1e-7)
+            assert ase_lower(cfg).value == lam * math.log2(11.0) * cp_g2_lower(cfg).value
 
     def test_lower_underflows_to_zero_deep_in_the_tail(self):
         assert ase_lower(cfg_at(5.0)).value == 0.0
@@ -489,5 +548,7 @@ def test_coverage_in_unit_interval_monotone_in_tau_and_sandwiched(alpha, taus, l
             assert 0.0 <= cp.raw <= 1.0 + BOUND_SLACK, model
             assert lower(cfg).value <= cp.value + BOUND_SLACK, model
             assert cp.value <= upper(cfg).value + BOUND_SLACK, model
+            if model == "g2":
+                assert ase_lower(cfg).value <= ase(cfg, cp).value * (1 + BOUND_SLACK)
             values.append(cp.value)
         assert values[1] <= values[0] + BOUND_SLACK, model

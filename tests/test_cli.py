@@ -102,6 +102,9 @@ class TestFlagValidation:
         ["optimal-density", "--trials", "7"],
         ["optimal-density", "--model", "g2", "--seed", "3"],
         ["optimal-density", "--points", "2"],
+        # an --output that cannot be written
+        ["cp-sweep", "--points", "1", "--output", "/nonexistent/densecov/x.csv"],
+        ["validate", "--model", "g1", "--lambda-grid", "0.3", "--output", "/"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         # argparse refuses an unknown flag by raising SystemExit itself
@@ -126,6 +129,13 @@ class TestFlagValidation:
         assert main(argv) == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path):
+        assert main(["cp-sweep", "--points", "1", "--output", str(tmp_path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --output {tmp_path}: ")
         assert captured.err.count("\n") == 1
 
     def test_unknown_model_exits_2(self):
