@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import specfun
+from . import _legendre, specfun
 from .model import (
     DerivedConstants,
     NetworkConfig,
@@ -109,13 +109,20 @@ def _cp(raw: float, method: str) -> CpValue:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights for n in _legendre.RULES."""
+    half = np.array([float(tok) for tok in _legendre.RULES[n].split()])
+    x, w = half[: n // 2], half[n // 2:]
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
 @lru_cache(maxsize=_MAX_NODE_DOUBLINGS + 1)
 def _origin_panel_rule(nodes: int):
     """Nodes and weights in v of the composite rule on [0, _V_MAX], which
     every density shares; read-only."""
     edges = np.concatenate([[0.0], _V_MAX * 2.0 ** -np.arange(_PANEL_LEVELS, -1, -1.0)])
     mids, halfs = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    t, w = specfun._leggauss(nodes)
+    t, w = _leggauss(nodes)
     v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
     wts = (halfs[:, None] * w[None, :]).ravel()
     v.flags.writeable = False
@@ -181,7 +188,7 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     distance overflows.
     """
     x = np.asarray(x, dtype=float)
-    b = 1.0 - 2.0 / alpha
+    b = specfun.hyf_shapes(alpha)[0]
     k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
     with np.errstate(over="ignore"):
         xa = x**alpha
@@ -235,7 +242,7 @@ def cp_g1_closed(cfg: NetworkConfig, verify: bool = True) -> CpValue:
     lam = cfg.lambda_bs
     c1, c2, c_hat = dc.c1, dc.c2, dc.c_hat
     z = math.sqrt(math.pi * lam) * (c1 + c_hat) / (2.0 * math.sqrt(1.0 + c1))
-    tail_factor = specfun.erfc(-z) - 2.0
+    tail_factor = math.erfc(-z) - 2.0
     raw = math.exp(-math.pi * lam * c_hat) / (1.0 + c1)
     if tail_factor != 0.0:
         # skipping an underflowed factor avoids 0 * inf when the printed
@@ -256,15 +263,27 @@ def _quadratic_gain_tail(lam: float, c: float, x0: float = 0.0) -> tuple[float, 
     """E[exp(-pi lam c (1+x)^2); x >= x0] by the identity of the module
     docstring, and q = pi sqrt(lam) c erfcx(z) / sqrt(1+c), the ratio of its
     correction term to its leading one, which stays finite where the
-    expectation underflows."""
+    expectation underflows.  c enters through c/sqrt(1+c) <= sqrt(c), so no
+    step overflows for any finite c."""
     root_a, s = math.sqrt(math.pi * lam), math.sqrt(1.0 + c)
-    z = root_a * c / s + x0 * root_a * s
-    g = math.pi * math.sqrt(lam) * c * specfun.erfcx(z)
+    z = root_a * (c / s) + x0 * root_a * s
+    q = math.pi * math.sqrt(lam) * ((c / s) * specfun.erfcx(z))
     prefactor = math.exp(-math.pi * lam * (x0 * x0 + c * (1.0 + x0) ** 2))
-    # an underflowed prefactor needs no bracket, whose (1+c)^1.5 overflows
-    # once c exceeds about 1e205 (2^(a-2) c1 at alpha above about 680)
-    value = prefactor * (1.0 / (1.0 + c) - g / (1.0 + c) ** 1.5) if prefactor > 0.0 else 0.0
-    return value, g / s
+    return prefactor * (1.0 - q) / (1.0 + c), q
+
+
+def _g2_tail_gain(alpha: float, c1: float) -> float:
+    """beta = 2^(alpha-2) c1, the gain of the g2 lower bound's quadratic
+    exponent; an OverflowError names it where it leaves the float range."""
+    e = alpha - 2.0
+    try:
+        # 2^e alone overflows from e = 1024; a small c1 keeps beta finite longer
+        beta = 2.0**e * c1 if e < 1024.0 else math.ldexp(2.0 ** (e % 1.0) * c1, int(e))
+    except OverflowError:
+        beta = math.inf
+    if beta == math.inf:
+        raise OverflowError(f"beta = 2^(alpha-2) c1 overflows at alpha={alpha:g}")
+    return beta
 
 
 def cp_g1_lower(cfg: NetworkConfig) -> CpValue:
@@ -295,8 +314,7 @@ def cp_g2_lower(cfg: NetworkConfig) -> CpValue:
     sub-integral of a positive integrand it is a valid lower bound on its own,
     and ase_lower scales it into the throughput envelope.
     """
-    dc = derived_constants(cfg.alpha, cfg.tau)
-    beta = 2.0 ** (cfg.alpha - 2.0) * dc.c1
+    beta = _g2_tail_gain(cfg.alpha, derived_constants(cfg.alpha, cfg.tau).c1)
     return _cp(_quadratic_gain_tail(cfg.lambda_bs, beta, 1.0)[0], "closed_form")
 
 
@@ -361,7 +379,10 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
     """Density maximizing the upper envelope: 2^a/(pi c_hat), the stationary
     point of lam e^(-kappa_upper lam)."""
     dc = derived_constants(alpha, tau)
-    lam = 2.0**alpha / (math.pi * dc.c_hat)
+    try:
+        lam = 2.0**alpha / (math.pi * dc.c_hat)
+    except OverflowError:
+        lam = math.inf
     if lam == math.inf:
         raise OverflowError(f"2^alpha/(pi c_hat) overflows at alpha={alpha:g}, tau={tau:g}")
     return lam
@@ -436,6 +457,16 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
 # scaling envelope
 # ---------------------------------------------------------------------------
 
+# q of _quadratic_gain_tail lies below its limit beta/(1+2 beta), by about
+# 1/(2 z^2) relative, so rounding decides the comparison only where z is
+# above 1e7.  There q carries at most 20 u (u = 2^-53): 14 from the
+# roundings of the square roots, z and the products, z's share passing
+# through erfcx unchanged (its log-derivative is -1 there), and 6 from
+# erfcx itself, then the two-term continued fraction.  The limit carries
+# 4 u, this factor included.  The check allows twice the sum.
+_Q_ROUNDING = 1.0 + 48.0 * 2.0**-53
+
+
 @dataclass(frozen=True)
 class ScalingPoint:
     lambda_bs: float
@@ -464,11 +495,13 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
         A_L / (lam e^(-kappa_lower lam)) = log2(1+tau)/(1+beta) * (1 - q),
         q = beta pi sqrt(lam) erfcx(z)/sqrt(1+beta),
         z = sqrt(pi lam)(1+2 beta)/sqrt(1+beta),  beta = 2^(a-2) c1,
+        kappa_lower = pi (1 + 4 beta),
 
     the tail identity of the module docstring at c = beta, x0 = 1 with its
     exponential factor cancelled exactly, so the ratio stays finite long
-    after the envelope itself underflows.  The correction ratio q tends to
-    beta/(1+2 beta) < 1/2, which keeps the tail constant m positive.
+    after the envelope itself underflows.  The correction ratio q rises
+    towards beta/(1+2 beta) < 1/2, which keeps the tail constant m positive;
+    a point passes when q stays below that limit within rounding.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -485,7 +518,8 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
             f"(needs >= {10.0 * lam0:g})"
         )
     rate = math.log2(1.0 + tau)
-    beta = 2.0 ** (alpha - 2.0) * dc.c1
+    beta = _g2_tail_gain(alpha, dc.c1)
+    q_max = _Q_ROUNDING * (0.5 / (1.0 + 0.5 / beta))  # beta/(1+2 beta), no overflow
     big_m = rate / (1.0 + 2.0**-alpha * dc.c_hat)
 
     points = []
@@ -497,7 +531,7 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
         rf = lam * math.exp(-dc.kappa_upper * lam)
         upper_ratio = ase_upper(NetworkConfig(lam, alpha, tau)).value / rf if rf > 0.0 else big_m
         in_tail = lam >= lam0
-        ok = lower_ratio > 0.0 and 0.0 < q2q1 < 0.5 \
+        ok = lower_ratio > 0.0 and 0.0 < q2q1 <= q_max \
             and abs(upper_ratio - big_m) <= 1e-12 * big_m
         points.append(ScalingPoint(float(lam), lower_ratio, upper_ratio, q2q1,
                                    in_tail, ok))

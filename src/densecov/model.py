@@ -90,19 +90,17 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
 class DerivedConstants:
     """Interference constants for a given (alpha, tau).
 
-    c1 = 2 tau H1(tau)/(alpha - 2) and c2 = 2 tau H2(tau)/(alpha - 1) with
-    H1, H2 the two hypergeometric families; c_hat = c1 - c2 > 0 because
-    H2 < H1 and alpha - 1 > alpha - 2.  kappa_upper = pi 2^-alpha c_hat and
-    kappa_lower = pi (1 + 2^alpha c1) are the decay rates of the throughput
-    envelope lam * exp(-kappa lam).
+    c1 = 2 tau H_b1(tau)/(alpha - 2) and c2 = 2 tau H_b2(tau)/(alpha - 1)
+    with H_b the hypergeometric family at the shapes b1 < b2 of
+    specfun.hyf_shapes; c_hat = c1 - c2 > 0 because H_b2 < H_b1 and
+    alpha - 1 > alpha - 2.  kappa_upper = pi 2^-alpha c_hat is the decay rate
+    of the upper throughput envelope lam * exp(-kappa_upper lam).
     """
 
-    delta: float
     c1: float
     c2: float
     c_hat: float
     kappa_upper: float
-    kappa_lower: float
 
 
 def derived_constants(alpha: float, tau: float) -> DerivedConstants:
@@ -117,15 +115,9 @@ def derived_constants(alpha: float, tau: float) -> DerivedConstants:
 # constants; the result is frozen, so callers may share it
 @lru_cache(maxsize=256)
 def _derived_constants(alpha: float, tau: float) -> DerivedConstants:
-    p = specfun.HypParams.from_alpha(alpha)
-    c1 = 2.0 * tau * specfun.hyf1(tau, p) / (alpha - 2.0)
-    c2 = 2.0 * tau * specfun.hyf2(tau, p) / (alpha - 1.0)
+    b1, b2 = specfun.hyf_shapes(alpha)
+    c1 = 2.0 * tau * specfun.hyf(tau, b1) / (alpha - 2.0)
+    c2 = 2.0 * tau * specfun.hyf(tau, b2) / (alpha - 1.0)
     c_hat = c1 - c2
-    return DerivedConstants(
-        delta=p.delta,
-        c1=c1,
-        c2=c2,
-        c_hat=c_hat,
-        kappa_upper=math.pi * 2.0**-alpha * c_hat,
-        kappa_lower=math.pi * (1.0 + 2.0**alpha * c1),
-    )
+    return DerivedConstants(c1=c1, c2=c2, c_hat=c_hat,
+                            kappa_upper=math.pi * 2.0**-alpha * c_hat)

@@ -240,7 +240,8 @@ def test_criterion_06_scaling_envelope(fig2_curves):
         assert 0.0 < p.q2_over_q1 < 0.5
     # the ratio form ties back to the printed lower envelope where the rate
     # function is still representable
-    lower_rate = lam0 * math.exp(-dc.kappa_lower * lam0)
+    kappa_lower = math.pi * (1.0 + 2.0**4 * dc.c1)
+    lower_rate = lam0 * math.exp(-kappa_lower * lam0)
     reconstructed = report.points[0].lower_ratio * lower_rate
     assert reconstructed == pytest.approx(ase_lower(cfg_at(lam0)).value, rel=1e-9)
     print(f"criterion 6: PASS - upper envelope exactly proportional to its rate "
@@ -264,23 +265,21 @@ def test_criterion_07_optimal_density():
 def test_criterion_08_special_functions():
     for x in (0.5, 2.0, 10.0, 50.0):
         closed = math.atan(math.sqrt(x)) / math.sqrt(x)
-        assert abs(specfun.hyf1(x, specfun.HypParams(0.5)) - closed) <= 1e-10
+        assert abs(specfun.hyf(x, 0.5) - closed) <= 1e-10
     worst = 0.0
     for alpha in (3.0, 4.0, 5.0):
-        p = specfun.HypParams.from_alpha(alpha)
         for x in (0.1, 1.0, 10.0, 100.0, 1e4):
-            for fn, b in ((specfun.hyf1, 1.0 - p.delta),
-                          (specfun.hyf2, 1.0 - 0.5 * p.delta)):
+            for b in specfun.hyf_shapes(alpha):
                 ref = euler_integral(x, b)
-                worst = max(worst, abs(fn(x, p) - ref) / ref)
+                worst = max(worst, abs(specfun.hyf(x, b) - ref) / ref)
     assert worst <= 1e-8
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 199)])
     for alpha in (3.0, 4.0, 5.0):
-        p = specfun.HypParams.from_alpha(alpha)
+        b1, b2 = specfun.hyf_shapes(alpha)
         assert np.all(np.diff(specfun.f1(grid, alpha)) < 0.0)
         assert np.all(np.diff(specfun.f2(grid, alpha)) < 0.0)
         pos = grid[1:]
-        assert np.all(specfun.hyf2(pos, p) < specfun.hyf1(pos, p))
+        assert np.all(specfun.hyf(pos, b2) < specfun.hyf(pos, b1))
         ratio = specfun.f3(grid, alpha)
         assert ratio[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.diff(ratio) < 0.0)

@@ -167,9 +167,9 @@ class TestQuadratureEngine:
 
     def test_stored_legendre_rules_equal_leggauss(self):
         counts = {analytic._PANEL_NODES * 2**k for k in range(analytic._MAX_NODE_DOUBLINGS + 1)}
-        assert set(specfun._legendre.RULES) == counts
+        assert set(analytic._legendre.RULES) == counts
         for nodes in sorted(counts):
-            for got, ref in zip(specfun._leggauss(nodes),
+            for got, ref in zip(analytic._leggauss(nodes),
                                 np.polynomial.legendre.leggauss(nodes)):
                 assert np.array_equal(got, ref)
 
@@ -500,6 +500,21 @@ class TestScalingEnvelope:
         lam0 = optimal_density_closed(**A4T10)
         report = scaling_envelope_check(4.0, 10.0, [10.0 * lam0])
         assert len(report.points) == 1 and report.all_pass
+
+    @pytest.mark.parametrize("alpha", [30.0, 100.0, 300.0, 700.0, 1000.0])
+    def test_steep_pathloss_passes(self, alpha):
+        # q rises to beta/(1+2 beta), which is 1/2 in double precision from
+        # alpha near 60, and beta = 2^(alpha-2) c1 nears the float range
+        lam0 = optimal_density_closed(alpha, 10.0)
+        report = scaling_envelope_check(alpha, 10.0, np.geomspace(lam0, 10.0 * lam0, 4))
+        assert report.all_pass and report.m > 0.0
+
+    def test_erfcx_off_by_1e12_fails_the_check(self, monkeypatch):
+        erfcx = specfun.erfcx
+        monkeypatch.setattr(analytic.specfun, "erfcx", lambda x: erfcx(x) * (1.0 + 1e-12))
+        lam0 = optimal_density_closed(100.0, 10.0)
+        report = scaling_envelope_check(100.0, 10.0, np.geomspace(lam0, 10.0 * lam0, 4))
+        assert not report.all_pass
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,24 @@ def test_python_dash_m_runs_the_cli():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# command lines that end in exit 3, and what their error line names
+NUMERICAL_FAILURES = [
+    (["cp-sweep", "--model", "g2", "--alpha", "1000",
+      "--lambda-min", "1e-2", "--lambda-max", "1", "--points", "3"], "QuadratureError"),
+    (["ase-sweep", "--alpha", "2000", "--points", "4"],
+     "beta = 2^(alpha-2) c1 overflows at alpha=2000"),
+    (["validate", "--model", "g1", "--lambda-grid", "1e-200"], "underflow"),
+    (["optimal-density", "--model", "g2", "--alpha", "1000",
+      "--tau-db", "-100", "--lambda-max", "1e300"],
+     "2^alpha/(pi c_hat) overflows at alpha=1000"),
+    (["cp-sweep", "--model", "g2", "--lambda-min", "1e308",
+      "--lambda-max", "1e308", "--points", "1"], "pi*lambda overflows"),
+    (["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"], "overflows"),
+    (["optimal-density", "--alpha", "2000"], "2^alpha/(pi c_hat) overflows at alpha=2000"),
+    (["cp-sweep", "--alpha", "1e17", "--points", "1"], "1 - 1/alpha rounds to 1"),
+]
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("argv", [
         ["cp-sweep", "--points", "0"],
@@ -114,22 +132,15 @@ class TestFlagValidation:
             rc = exc.code
         assert rc == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ["cp-sweep", "--model", "g2", "--alpha", "1000",       # quadrature
-         "--lambda-min", "1e-2", "--lambda-max", "1", "--points", "3"],
-        ["cp-sweep", "--alpha", "1e4"],                         # 2^alpha overflows
-        ["validate", "--model", "g1", "--lambda-grid", "1e-200"],  # powers underflow
-        ["optimal-density", "--model", "g2", "--alpha", "1000",    # 2^alpha/(pi c_hat)
-         "--tau-db", "-100", "--lambda-max", "1e300"],            # overflows
-        ["cp-sweep", "--model", "g2", "--lambda-min", "1e308",   # pi*lambda
-         "--lambda-max", "1e308", "--points", "1"],              # overflows
-        ["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"],
-    ])
-    def test_numerical_failures_exit_3(self, capsys, argv):
+    @pytest.mark.parametrize("argv,needle", [
+        pytest.param(argv, needle, id=f"argv{i}")
+        for i, (argv, needle) in enumerate(NUMERICAL_FAILURES)])
+    def test_numerical_failures_exit_3(self, capsys, argv, needle):
         assert main(argv) == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert needle in captured.err
 
     def test_unwritable_output_is_one_error_line(self, capsys, tmp_path):
         assert main(["cp-sweep", "--points", "1", "--output", str(tmp_path)]) == cli.EXIT_USAGE
@@ -216,6 +227,26 @@ class TestCpSweep:
             cp = float(r["cp_analytic"])
             assert 0.0 <= cp <= 1.0
             assert float(r["cp_lower"]) - 1e-9 <= cp <= float(r["cp_upper"]) + 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["cp-sweep", "--alpha", "1e4"],
+        ["cp-sweep", "--model", "upm", "--alpha", "1e4"],
+        ["cp-sweep", "--alpha", "2000", "--points", "4"],
+        # 2^(alpha-2) overflows, 2^(alpha-2) c1 does not
+        ["ase-sweep", "--alpha", "1030", "--points", "3"],
+    ])
+    def test_steep_pathloss_needs_no_power_of_two(self, capsys, argv):
+        # 2^alpha overflows past alpha = 1024, and the g1 and upm coverage
+        # columns never use it
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        for r in parse_rows(out):
+            for col in ("cp_analytic", "cp_lower", "cp_upper"):
+                if r[col]:
+                    assert 0.0 <= float(r[col]) <= 1.0
+            assert math.isfinite(float(r["cp_analytic"]))
+            if r["ase_lower"]:
+                assert 0.0 <= float(r["ase_lower"]) <= float(r["ase_analytic"])
 
     def test_transmit_power_flag_changes_nothing(self, capsys):
         _, out_a = run_cli(capsys, "cp-sweep", "--points", "4", "--p-bs", "1")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from densecov import specfun
 from densecov.model import (
     NetworkConfig,
     PathlossModel,
@@ -105,8 +106,9 @@ class TestDerivedConstants:
         assert dc.c2 == pytest.approx(C2_A4_T10, rel=1e-12)
         assert dc.c_hat == pytest.approx(CHAT_A4_T10, rel=1e-12)
         assert dc.kappa_upper == pytest.approx(KAPPA_UPPER_A4_T10, rel=1e-12)
-        assert dc.kappa_lower == pytest.approx(KAPPA_LOWER_A4_T10, rel=1e-12)
-        assert dc.delta == pytest.approx(0.5)
+        # the lower envelope's rate pi (1 + 2^alpha c1) is not stored
+        assert math.pi * (1.0 + 2.0**4 * dc.c1) == pytest.approx(KAPPA_LOWER_A4_T10, rel=1e-12)
+        assert specfun.hyf_shapes(4.0) == (0.5, 0.75)
 
     def test_c2_against_euler_oracle(self):
         dc = derived_constants(4.0, 10.0)
@@ -122,7 +124,7 @@ class TestDerivedConstants:
     def test_positivity_and_rate_ordering(self, alpha, tau):
         dc = derived_constants(alpha, tau)
         assert dc.c1 > 0.0 and dc.c2 > 0.0 and dc.c_hat > 0.0
-        assert dc.kappa_upper < dc.kappa_lower
+        assert dc.kappa_upper < math.pi * (1.0 + 2.0**alpha * dc.c1)
 
     def test_deterministic(self):
         assert derived_constants(3.7, 5.0) == derived_constants(3.7, 5.0)

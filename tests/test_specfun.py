@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from densecov import specfun
-from densecov.specfun import HypParams, erfc, erfcx, f1, f2, f3, hyf1, hyf2
+from densecov.specfun import erfcx, f1, f2, f3, hyf, hyf_shapes
 
 from oracles import erfc_defining_integral, euler_integral, hyf_series_reference
 
@@ -13,39 +14,55 @@ ERFC_AT_1 = 0.15729920705028513066
 
 
 class TestErfc:
+    """erfc is the standard library's; these pin the scaled erfcx built on it."""
+
     def test_at_zero(self):
-        assert erfc(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert erfcx(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_reflection_identity(self):
-        assert erfc(-0.7) == pytest.approx(2.0 - erfc(0.7), abs=1e-15)
+        # erfc(-x) = 2 - erfc(x), scaled by exp(x^2)
+        assert erfcx(-0.7) == pytest.approx(2.0 * math.exp(0.49) - erfcx(0.7), rel=1e-15)
 
     def test_frozen_value_at_one(self):
-        assert erfc(1.0) == pytest.approx(ERFC_AT_1, abs=1e-10)
-        assert erfc(1.0) == pytest.approx(erfc_defining_integral(1.0), abs=1e-10)
+        assert erfcx(1.0) == pytest.approx(math.e * ERFC_AT_1, rel=1e-12)
+        assert erfcx(1.0) == pytest.approx(math.e * erfc_defining_integral(1.0), rel=1e-12)
 
     @pytest.mark.parametrize("x", np.linspace(-6.0, 6.0, 25).tolist() + [1.999, 2.001])
     def test_oracle_grid(self, x):
-        ref = erfc_defining_integral(x)
-        assert abs(erfc(x) - ref) <= 1e-12 * abs(ref)
+        ref = math.exp(x * x) * erfc_defining_integral(x)
+        assert abs(erfcx(x) - ref) <= 1e-12 * abs(ref)
 
     def test_monotone_decreasing_with_range(self):
         xs = np.linspace(-6.0, 6.0, 200)
-        vals = np.array([erfc(x) for x in xs])
-        assert np.all(np.diff(vals) <= 0.0)
-        assert np.all((vals > 0.0) & (vals <= 2.0))
-        # strictly decreasing wherever the complement is resolvable in floats
-        # (below x ~ -5.3 the value rounds to exactly 2)
-        inner = np.linspace(-5.0, 6.0, 200)
-        ivals = np.array([erfc(x) for x in inner])
-        assert np.all(np.diff(ivals) < 0.0)
+        vals = np.array([erfcx(x) for x in xs])
+        assert np.all(np.diff(vals) < 0.0)
+        assert np.all((vals > 0.0) & (vals <= 2.0 * math.exp(36.0)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            erfc(math.inf)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                erfcx(x)
+
+    def test_against_mpmath_to_1e14(self):
+        # the tolerance was fixed before the first run
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 1201), np.geomspace(6.0, 1e6, 1200)])
+        with mpmath.workdps(40):
+            for x in xs.tolist():
+                ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
+                assert abs(erfcx(x) - ref) <= 1e-14 * ref, x
+
+    def test_short_fraction_at_large_arguments(self):
+        # a Lentz loop run on to 1e8 errs by 2.4e-14 at the first point and
+        # never converges at the second
+        xs = [94856239.23749843, 94914502.9487306] + np.geomspace(1e4, 1e9, 400).tolist()
+        with mpmath.workdps(40):
+            for x in xs:
+                ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
+                assert abs(erfcx(x) - ref) <= 1e-15 * ref, x
 
     def test_erfcx_matches_definition_and_survives_large_arguments(self):
         for x in [0.0, 0.5, 1.5, 3.0, 8.0]:
-            assert erfcx(x) == pytest.approx(math.exp(x * x) * erfc(x), rel=1e-12)
+            assert erfcx(x) == pytest.approx(math.exp(x * x) * math.erfc(x), rel=1e-12)
         big = erfcx(66.0)  # plain erfc underflows far before this
         assert big == pytest.approx(1.0 / (66.0 * math.sqrt(math.pi)), rel=1e-3)
         # past 1e8 the continued fraction is x itself to double precision
@@ -54,39 +71,36 @@ class TestErfc:
 
 
 class TestHypergeometric:
+    # delta = 2/alpha; the two shapes are b1 = 1 - delta and b2 = 1 - delta/2
     @pytest.mark.parametrize("delta", [0.25, 0.5, 0.75])
     def test_value_one_at_zero(self, delta):
-        p = HypParams(delta)
-        assert hyf1(0.0, p) == pytest.approx(1.0, abs=1e-14)
-        assert hyf2(0.0, p) == pytest.approx(1.0, abs=1e-14)
+        assert hyf(0.0, 1.0 - delta) == pytest.approx(1.0, abs=1e-14)
+        assert hyf(0.0, 1.0 - 0.5 * delta) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("x", [0.5, 2.0, 10.0, 50.0])
     def test_closed_form_at_half_delta(self, x):
         # 2F1(1, 1/2; 3/2; -x) = arctan(sqrt(x))/sqrt(x)
-        assert abs(hyf1(x, HypParams(0.5)) - math.atan(math.sqrt(x)) / math.sqrt(x)) <= 1e-10
+        assert abs(hyf(x, 0.5) - math.atan(math.sqrt(x)) / math.sqrt(x)) <= 1e-10
 
     def test_frozen_euler_oracle_points(self):
-        # b = 1/3 (delta = 2/3) at x = 3 and b = 3/4 (delta = 1/2) at x = 10
-        assert hyf1(3.0, HypParams(2.0 / 3.0)) == pytest.approx(0.69022942448947834, rel=1e-10)
-        assert hyf2(10.0, HypParams(0.5)) == pytest.approx(0.29823965445253438, rel=1e-10)
-        assert hyf1(3.0, HypParams(2.0 / 3.0)) == pytest.approx(
-            euler_integral(3.0, 1.0 / 3.0), rel=1e-9)
-        assert hyf2(10.0, HypParams(0.5)) == pytest.approx(
-            euler_integral(10.0, 0.75), rel=1e-9)
+        # b = 1/3 at x = 3 and b = 3/4 at x = 10
+        assert hyf(3.0, 1.0 / 3.0) == pytest.approx(0.69022942448947834, rel=1e-10)
+        assert hyf(10.0, 0.75) == pytest.approx(0.29823965445253438, rel=1e-10)
+        assert hyf(3.0, 1.0 / 3.0) == pytest.approx(euler_integral(3.0, 1.0 / 3.0), rel=1e-9)
+        assert hyf(10.0, 0.75) == pytest.approx(euler_integral(10.0, 0.75), rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 100.0, 1e4])
     def test_oracle_equivalence_grid(self, alpha, x):
-        p = HypParams.from_alpha(alpha)
-        for fn, b in ((hyf1, 1.0 - p.delta), (hyf2, 1.0 - 0.5 * p.delta)):
+        for b in hyf_shapes(alpha):
             ref = euler_integral(x, b)
-            assert abs(fn(x, p) - ref) <= 1e-8 * abs(ref)
+            assert abs(hyf(x, b) - ref) <= 1e-8 * abs(ref)
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
     def test_extreme_argument_accuracy(self, alpha):
-        p = HypParams.from_alpha(alpha)
-        ref = euler_integral(1e6, 1.0 - p.delta)
-        assert abs(hyf1(1e6, p) - ref) <= 1e-9 * abs(ref)
+        b1 = hyf_shapes(alpha)[0]
+        ref = euler_integral(1e6, b1)
+        assert abs(hyf(1e6, b1) - ref) <= 1e-9 * abs(ref)
 
     def test_series_branches_match_oracle_across_the_seam(self):
         # y <= 1 and y > 1 take different series; both must match the Euler
@@ -94,27 +108,33 @@ class TestHypergeometric:
         ys = [0.0, 1.0 - 1e-6, 1.0, 1.0 + 1e-6] + np.geomspace(1e-8, 1e8, 33).tolist()
         for b in [0.2, 1.0 / 3.0, 0.5, 0.75, 0.9, 0.98, 0.995]:
             refs = np.array([euler_integral(y, b) for y in ys])
-            fams = [hyf1(np.array(ys), HypParams(1.0 - b))]
-            if b > 0.5:
-                fams.append(hyf2(np.array(ys), HypParams(2.0 * (1.0 - b))))
-            for vals in fams:
-                assert np.all(np.abs(vals - refs) <= 1e-12 * refs), b
+            vals = hyf(np.array(ys), b)
+            assert np.all(np.abs(vals - refs) <= 1e-12 * refs), b
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            hyf1(-0.1, HypParams(0.5))
+            hyf(-0.1, 0.5)
         with pytest.raises(ValueError):
-            hyf2(np.array([1.0, -2.0]), HypParams(0.5))
+            hyf(np.array([1.0, -2.0]), 0.75)
         with pytest.raises(ValueError):
             specfun.hyf_series(np.array([0.25, 0.75]), 1.5)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            HypParams(1.2)
-        with pytest.raises(ValueError):
-            HypParams(0.0)
-        with pytest.raises(ValueError):
-            HypParams.from_alpha(2.0)
+        for b in (1.2, 1.0, 0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="shape b"):
+                hyf(1.0, b)
+        for alpha in (2.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                hyf_shapes(alpha)
+        # past about 1.8e16, 1 - 1/alpha is 1 in double precision
+        with pytest.raises(FloatingPointError, match="alpha=1e\\+17"):
+            hyf_shapes(1e17)
+
+    def test_shapes_keep_the_bits_of_delta(self):
+        # b2 = 1 - 1/alpha equals the former 1 - 0.5 * (2/alpha) exactly,
+        # since halving and doubling are exact in binary
+        for alpha in np.geomspace(2.0 + 1e-12, 1e15, 500).tolist() + [2.5, 3.7, 4.0]:
+            assert hyf_shapes(alpha) == (1.0 - 2.0 / alpha, 1.0 - 0.5 * (2.0 / alpha))
 
 
 class TestSeriesParity:
@@ -160,10 +180,10 @@ class TestMonotoneFunctionals:
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
     def test_family_ordering_and_bounds(self, alpha):
-        p = HypParams.from_alpha(alpha)
+        b1, b2 = hyf_shapes(alpha)
         x = np.geomspace(1e-3, 100.0, 200)
-        h1 = hyf1(x, p)
-        h2 = hyf2(x, p)
+        h1 = hyf(x, b1)
+        h2 = hyf(x, b2)
         assert np.all((0.0 < h2) & (h2 < h1) & (h1 < 1.0))
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
