@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkConfig, PathlossModel, pathloss_gain
+from .model import NetworkConfig, PathlossModel, _gain, pathloss_gain
 
 _BLOCK_TRIALS = 64
 _CHUNK = 128
@@ -113,8 +113,9 @@ def _radial_chunks(rng: np.random.Generator, s_max: float):
     s = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
     yield s[:, None], rng.standard_exponential((_BLOCK_TRIALS, 1))
     while s.min() <= s_max:
-        chunk = s[:, None] + np.cumsum(
-            rng.standard_exponential((_BLOCK_TRIALS, _CHUNK)), axis=1)
+        gaps = rng.standard_exponential((_BLOCK_TRIALS, _CHUNK))
+        chunk = np.cumsum(gaps, axis=1, out=gaps)
+        chunk += s[:, None]
         yield chunk, rng.standard_exponential((_BLOCK_TRIALS, _CHUNK))
         s = chunk[:, -1]
 
@@ -130,9 +131,17 @@ def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     s, h = next(chunks)
     signal = pathloss_gain(model, cfg.alpha, np.sqrt(s[:, 0] / a)) * h[:, 0]
     interference = np.zeros(_BLOCK_TRIALS)
+    received = np.empty((_BLOCK_TRIALS, _CHUNK))
     for s, h in chunks:
-        received = pathloss_gain(model, cfg.alpha, np.sqrt(s / a)) * h
-        received[s > s_max] = 0.0
+        # interferers lie past the serving station, at positive distances,
+        # so only the serving column above needs the validating path
+        np.sqrt(np.divide(s, a, out=received), out=received)
+        _gain(model, cfg.alpha, received, received)
+        received *= h
+        # rows are sorted, so only a chunk whose last column passes the
+        # window holds slots to mask
+        if s[:, -1].max() > s_max:
+            received[s > s_max] = 0.0
         interference += received.sum(axis=1)
     # a trial with no interferer is covered at any finite threshold
     return (interference <= 0.0) | (signal > cfg.tau * interference)

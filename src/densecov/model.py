@@ -66,24 +66,32 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
     arr = np.asarray(d, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("distance must be >= 0")
+    if model is PathlossModel.UNBOUNDED and np.any(arr == 0.0):
+        raise ValueError("unbounded pathloss is singular at d = 0")
+    out = _gain(model, alpha, arr, np.empty_like(arr))
     scalar = np.isscalar(d) or getattr(d, "ndim", 0) == 0
+    return float(out) if scalar else out
+
+
+def _gain(model: PathlossModel, alpha: float, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g(d) written into out, which may be d itself; d is not validated."""
     if model is PathlossModel.UNBOUNDED:
-        if np.any(arr == 0.0):
-            raise ValueError("unbounded pathloss is singular at d = 0")
-        out = arr**-alpha
+        np.power(d, -alpha, out=out)
     elif model is PathlossModel.BOUNDED_G1:
-        out = (1.0 + arr) ** -alpha
+        np.power(np.add(d, 1.0, out=out), -alpha, out=out)
     elif model is PathlossModel.BOUNDED_G2:
         # d^a = inf far out gives the right gain, 0
         with np.errstate(over="ignore"):
-            out = 1.0 / (1.0 + arr**alpha)
+            np.power(d, alpha, out=out)
+        np.divide(1.0, np.add(out, 1.0, out=out), out=out)
     elif model is PathlossModel.MIN_BOUNDED:
-        out = np.ones_like(arr)
-        far = arr > 1.0
-        out[far] = arr[far] ** -alpha
+        # d^-a >= 1 exactly where d <= 1, and d = 0 gives inf
+        with np.errstate(divide="ignore", over="ignore"):
+            np.power(d, -alpha, out=out)
+        np.minimum(out, 1.0, out=out)
     else:  # pragma: no cover
         raise ValueError(f"unhandled model {model}")
-    return float(out) if scalar else out
+    return out
 
 
 @dataclass(frozen=True)
