@@ -506,8 +506,8 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("lambda_grid must be a non-empty 1-d sequence")
-    if np.any(grid <= 0.0):
-        raise ValueError("lambda_grid must be positive")
+    if not np.all((grid > 0.0) & np.isfinite(grid)):
+        raise ValueError("lambda_grid must be positive and finite")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("lambda_grid must be sorted ascending")
     dc = derived_constants(alpha, tau)

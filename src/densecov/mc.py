@@ -2,13 +2,16 @@
 at the origin, nearest-station association, unit-mean exponential fading, and
 SIR and coverage estimation.
 
-Trials run in fixed blocks of _BLOCK_TRIALS.  Block b draws from one
-counter-based Philox stream keyed by (seed, b) (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), and trial t is row t % B of
-block t // B.  Within a block, stations are generated in radial order:
-squared distances are a unit-rate Poisson arrival sequence in pi*lam*r^2,
-drawn as (B, C) chunks of exponential gaps and fading gains, one row per
-trial.  Consequences the tests rely on:
+Trials run in fixed blocks of _BLOCK_TRIALS.  Block b draws from one PCG64
+stream (O'Neill, "PCG: a family of simple fast space-efficient
+statistically good algorithms for random number generation", 2014; numpy's
+default generator) keyed by (seed, b) through a SeedSequence spawn key, and
+trial t is row t % B of block t // B.  PCG64 draws the exponentials, which
+are most of a block's cost, in about two thirds of Philox's time, and the
+spawn key keys it by (seed, b) as well as Philox's counter key would.  Within a block, stations are
+generated in radial order: squared distances are a unit-rate Poisson
+arrival sequence in pi*lam*r^2, drawn as (B, C) chunks of exponential gaps
+and fading gains, one row per trial.  Consequences the tests rely on:
 
   * whole blocks are always drawn, so a trial's outcome is a pure function
     of (seed, trial_index) and does not depend on how many trials run;
@@ -92,9 +95,17 @@ class Realization:
 
 
 def block_generator(seed: int, block: int) -> np.random.Generator:
-    """Counter-based stream for one block of trials, keyed by (seed, block)."""
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """PCG64 stream for one block of trials, keyed by (seed, block).
+
+    The key is SeedSequence(seed).spawn(block + 1)[block], built directly.
+    The seed's 32-bit words are zero-padded to the pool size before the
+    block's words follow, so distinct pairs give distinct streams.  Seeding
+    with [seed, block] as one entropy list would not: its words are joined
+    and then padded, so (5 + 7 * 2**32, 0) and (5, 7) would share a stream,
+    and so would the same pair as a uint64 array.
+    """
+    key = np.random.SeedSequence(seed, spawn_key=(block,))
+    return np.random.Generator(np.random.PCG64(key))
 
 
 def _radial_chunks(rng: np.random.Generator, s_max: float):
@@ -158,7 +169,8 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     a = math.pi * cfg.lambda_bs
     s_max = a * params.window_radius**2
     rng = block_generator(params.seed, block)
-    # jumped() leaves rng as it is: the angles' substream starts 2^128 draws on
+    # jumped() leaves rng as it is: the angles' substream starts
+    # (phi - 1) * 2^128, about 2.1e38, draws on
     angle_rng = np.random.Generator(rng.bit_generator.jumped())
     parts = [(s, h, angle_rng.uniform(0.0, 2.0 * math.pi, s.shape))
              for s, h in _radial_chunks(rng, s_max)]

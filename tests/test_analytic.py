@@ -521,6 +521,9 @@ class TestScalingEnvelope:
             scaling_envelope_check(4.0, 10.0, [2.0, 1.0, 30.0])
         with pytest.raises(ValueError):
             scaling_envelope_check(4.0, 10.0, [1.0])  # never reaches the tail
+        for grid in ([1e-6, 1.0, math.nan], [1e-6, 100.0, math.inf]):
+            with pytest.raises(ValueError, match="lambda_grid"):
+                scaling_envelope_check(4.0, 10.0, grid)
 
 
 class TestTransmitPowerInvariance:

@@ -57,6 +57,26 @@ class TestParams:
             SimParams(**kwargs)
 
 
+class TestBlockStream:
+    @pytest.mark.parametrize("seed, block", [(0, 0), (42, 3), (2**64 - 1, 9)])
+    def test_is_the_spawned_child_of_the_seed(self, seed, block):
+        child = np.random.SeedSequence(seed).spawn(block + 1)[block]
+        expected = np.random.Generator(np.random.PCG64(child)).random(8)
+        assert np.array_equal(block_generator(seed, block).random(8), expected)
+
+    @pytest.mark.parametrize("key, other", [
+        # one entropy list [seed, block] joins these words alike
+        ((5 + 7 * 2**32, 0), (5, 7)),
+        ((2**64 - 1, 2**32), (2**32 - 1, 2**32 - 1 + 2**64)),
+        # the top seed with a block past 32 bits, against its neighbours
+        ((2**64 - 1, 2**32), (2**64 - 1, 0)),
+        ((2**64 - 1, 2**32), (2**64 - 1, 2**32 + 1)),
+    ])
+    def test_distinct_keys_give_distinct_streams(self, key, other):
+        assert not np.array_equal(block_generator(*key).random(8),
+                                  block_generator(*other).random(8))
+
+
 class TestSampleNetwork:
     def test_fixed_seed_reproduces_realization(self):
         params = params_for(0.3, 1, seed=7)
@@ -184,15 +204,20 @@ class TestEstimates:
         assert est.trials == n
         assert round(est.mean * n) == sum(public_outcomes(CFG, model, params_for(0.3, 1), 0, n))
 
-    @pytest.mark.parametrize("model", list(PathlossModel))
-    def test_fast_path_parity_with_public_sampling(self, model):
+    @pytest.mark.parametrize("model, lam, tau", [
+        # the density and threshold tested first keep the bare model as id
+        pytest.param(model, lam, tau, id=str(model) + (
+            "" if (lam, tau) == (0.3, 10.0) else f"-lam{lam:g}-tau{tau:g}"))
+        for lam in (0.3, 1e-3) for tau in (10.0, 1.0) for model in PathlossModel])
+    def test_fast_path_parity_with_public_sampling(self, model, lam, tau):
         # the coverage kernel skips angles and Realization objects; its
         # per-trial indicator must match the public sample/SIR route draw
-        # for draw
-        params = params_for(0.3, 1)
-        fast = np.concatenate([mc._covered_block(CFG, model, params, block)
+        # for draw, the masked last chunk of each block included
+        cfg = NetworkConfig(lam, 4.0, tau)
+        params = params_for(lam, 1)
+        fast = np.concatenate([mc._covered_block(cfg, model, params, block)
                                for block in range(-(-300 // B))])[:300]
-        assert fast.tolist() == public_outcomes(CFG, model, params, 0, 300)
+        assert fast.tolist() == public_outcomes(cfg, model, params, 0, 300)
 
     def test_matches_analytic_coverage(self):
         # smoke-level cross-checks; the full 1e5-trial grid runs in acceptance
