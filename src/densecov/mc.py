@@ -7,11 +7,12 @@ stream (O'Neill, "PCG: a family of simple fast space-efficient
 statistically good algorithms for random number generation", 2014; numpy's
 default generator) keyed by (seed, b) through a SeedSequence spawn key, and
 trial t is row t % B of block t // B.  PCG64 draws the exponentials, which
-are most of a block's cost, in about two thirds of Philox's time, and the
-spawn key keys it by (seed, b) as well as Philox's counter key would.  Within a block, stations are
-generated in radial order: squared distances are a unit-rate Poisson
-arrival sequence in pi*lam*r^2, drawn as (B, C) chunks of exponential gaps
-and fading gains, one row per trial.  Consequences the tests rely on:
+are most of a block's cost, in about 70 % of Philox's time, and the
+spawn key keys it by (seed, b) as well as Philox's counter key would.
+Within a block, stations are generated in radial order: squared distances
+are a unit-rate Poisson arrival sequence in pi*lam*r^2, drawn as (B, C)
+chunks of exponential gaps and fading gains, one row per trial.
+Consequences the tests rely on:
 
   * whole blocks are always drawn, so a trial's outcome is a pure function
     of (seed, trial_index) and does not depend on how many trials run;
@@ -144,8 +145,9 @@ def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     interference = np.zeros(_BLOCK_TRIALS)
     received = np.empty((_BLOCK_TRIALS, _CHUNK))
     for s, h in chunks:
-        # interferers lie past the serving station, at positive distances,
-        # so only the serving column above needs the validating path
+        # interferers lie past the serving station, so their distances are
+        # >= 0 by construction and only the serving column above needs the
+        # validating path (which rejects d = 0 under the unbounded law)
         np.sqrt(np.divide(s, a, out=received), out=received)
         _gain(model, cfg.alpha, received, received)
         received *= h
