@@ -5,18 +5,19 @@ serving distance.
 
 Every coverage expression reduces to E[exp(-E(x))] where x is the distance
 to the nearest base station (PDF 2 pi lam x exp(-pi lam x^2)) and E is a
-model-dependent nonnegative exponent.  Every bound with a quadratic
-exponent (g1 lower and upper, g2 lower, ASE lower, the scaling ratio)
-follows from one Gaussian tail identity over x >= x0,
+model-dependent nonnegative exponent.  Every coverage with a quadratic
+exponent (g1 exact, lower and upper, g2 lower, ASE lower, the scaling
+ratio) follows from one Gaussian tail identity over x >= x0,
 
-    E[exp(-pi lam c (1+x)^2); x >= x0]
-        = exp(-pi lam (x0^2 + c (1+x0)^2)) [ 1/(1+c)
-            - pi sqrt(lam) c erfcx(z) / (1+c)^(3/2) ],
-    z = sqrt(pi lam) (c + (1+c) x0) / sqrt(1+c),
+    E[exp(-pi lam (1+x)(c (1+x) - d)); x >= x0]
+        = exp(-pi lam (x0^2 + c (1+x0)^2 - d (1+x0))) (1 - q) / (1+c),
+    q = pi sqrt(lam) m erfcx(z),   m = (c - d/2) / sqrt(1+c),
+    z = sqrt(pi lam) (m + x0 sqrt(1+c)),
 
 written with the scaled complement erfcx so that both terms share one
-exponential prefactor and stay representable at any density.  Only the
-exact coverages use quadrature.
+exponential prefactor and stay representable at any density.  Only g2's
+exact coverage uses quadrature; cp_g1_quadrature keeps an independent
+quadrature route for g1.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _legendre, specfun
-from .model import (
-    DerivedConstants,
-    NetworkConfig,
-    PathlossModel,
-    derived_constants,
-)
+from .model import NetworkConfig, PathlossModel, derived_constants
 
 # v-space quadrature: with v = sqrt(pi lam) x the weight becomes 2 v exp(-v^2),
 # which is negligible beyond _V_MAX regardless of the model (exponents only add
@@ -47,28 +43,12 @@ _MAX_NODE_DOUBLINGS = 3
 # successive node doublings must agree to this relative tolerance
 _REL_TOL = 1e-9
 
-_EQ_CONSISTENCY_TOL = 1e-6
-
 # log-spaced points of the coarse scan that brackets the peak of an objective
 _SCAN_POINTS = 16
 
 
 class QuadratureError(RuntimeError):
     """Expectation failed to reach the requested tolerance at max order."""
-
-
-class ConsistencyError(RuntimeError):
-    """Closed form and quadrature disagree beyond the transcription tolerance."""
-
-    def __init__(self, closed_value: float, quadrature_value: float, tol: float):
-        self.closed_value = closed_value
-        self.quadrature_value = quadrature_value
-        self.tol = tol
-        super().__init__(
-            f"closed form {closed_value!r} vs quadrature {quadrature_value!r} "
-            f"differ by {abs(closed_value - quadrature_value):.3e} (> {tol:g}); "
-            "quadrature is authoritative"
-        )
 
 
 class UnsupportedPathlossError(ValueError):
@@ -83,9 +63,9 @@ class BracketError(RuntimeError):
 class CpValue:
     """Coverage probability with its evaluation route and unclamped raw value.
 
-    The raw value is kept so cancellation artifacts (tiny negatives deep in
-    the tail of the closed forms) stay visible to tests; value itself is
-    clamped to [0, 1] at this boundary only.
+    The raw value is the route's own result, kept so that any rounding
+    outside [0, 1] stays visible to tests; value itself is clamped to
+    [0, 1] at this boundary only.
     """
 
     value: float
@@ -130,15 +110,20 @@ def _origin_panel_rule(nodes: int):
     return v, wts
 
 
+def _pi_lambda(lam: float) -> float:
+    """pi lam as a Python float; an OverflowError where it leaves the float range."""
+    a = math.pi * float(lam)
+    if not math.isfinite(a):
+        raise OverflowError(f"pi*lambda overflows at lambda={lam:g} BS/m^2")
+    return a
+
+
 def expectation_over_serving_distance(exponent, lam: float) -> float:
     """E[exp(-exponent(x))] over the serving distance x.
 
     exponent must accept a distance array and return nonnegative values.
     """
-    a = math.pi * float(lam)
-    if not math.isfinite(a):
-        raise OverflowError(f"pi*lambda overflows at lambda={lam:g} BS/m^2")
-    sqrt_a = math.sqrt(a)
+    sqrt_a = math.sqrt(_pi_lambda(lam))
 
     def evaluate(nodes: int) -> float:
         v, wts = _origin_panel_rule(nodes)
@@ -163,11 +148,6 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # model-specific exponents
 # ---------------------------------------------------------------------------
-
-def _exponent_g1(x, lam: float, dc: DerivedConstants):
-    x = np.asarray(x, dtype=float)
-    return math.pi * lam * (1.0 + x) * (dc.c1 * (1.0 + x) - dc.c2)
-
 
 def _exponent_g2(x, lam: float, alpha: float, tau: float):
     """Exponent of the inverse-polynomial model's coverage integrand.
@@ -219,57 +199,38 @@ def cp_upm(cfg: NetworkConfig) -> CpValue:
 
 
 def cp_g1_quadrature(cfg: NetworkConfig) -> CpValue:
-    """Ground truth for the additive-offset bounded model: direct expectation
-    of exp(-pi lam (1+x)(c1 (1+x) - c2))."""
+    """The additive-offset coverage by the independent quadrature route:
+    direct expectation of exp(-pi lam (1+x)(c1 (1+x) - c2))."""
     dc = derived_constants(cfg.alpha, cfg.tau)
     lam = cfg.lambda_bs
     val = expectation_over_serving_distance(
-        lambda x: _exponent_g1(x, lam, dc), lam)
+        lambda x: math.pi * lam * (1.0 + x) * (dc.c1 * (1.0 + x) - dc.c2), lam)
     return _cp(val, "quadrature")
 
 
-def cp_g1_closed(cfg: NetworkConfig, verify: bool = True) -> CpValue:
-    """Closed form of the additive-offset coverage, evaluated as printed
-    (complete-the-square Gaussian identity with an erfc(-z) - 2 factor).
-
-    By default the value is cross-checked against the quadrature route and a
-    ConsistencyError raised if they disagree beyond 1e-6; clamping happens
-    only after the check.  Deep in the tail the printed form cancels
-    catastrophically (raw may go slightly negative); the raw field keeps
-    that visible.
-    """
-    dc = derived_constants(cfg.alpha, cfg.tau)
-    lam = cfg.lambda_bs
-    c1, c2, c_hat = dc.c1, dc.c2, dc.c_hat
-    z = math.sqrt(math.pi * lam) * (c1 + c_hat) / (2.0 * math.sqrt(1.0 + c1))
-    tail_factor = math.erfc(-z) - 2.0
-    raw = math.exp(-math.pi * lam * c_hat) / (1.0 + c1)
-    if tail_factor != 0.0:
-        # skipping an underflowed factor avoids 0 * inf when the printed
-        # exponential prefactor grows (c2^2 > 4 c_hat at large thresholds)
-        prefactor = (math.pi * math.sqrt(lam) * (c1 + c_hat)
-                     * math.exp(math.pi * lam * (c2 * c2 - 4.0 * c_hat)
-                                / (4.0 * (1.0 + c1)))
-                     / (2.0 * (1.0 + c1) ** 1.5))
-        raw += prefactor * tail_factor
-    if verify:
-        quad = cp_g1_quadrature(cfg)
-        if abs(raw - quad.raw) > _EQ_CONSISTENCY_TOL:
-            raise ConsistencyError(raw, quad.raw, _EQ_CONSISTENCY_TOL)
-    return _cp(raw, "closed_form")
-
-
-def _quadratic_gain_tail(lam: float, c: float, x0: float = 0.0) -> tuple[float, float]:
-    """E[exp(-pi lam c (1+x)^2); x >= x0] by the identity of the module
-    docstring, and q = pi sqrt(lam) c erfcx(z) / sqrt(1+c), the ratio of its
-    correction term to its leading one, which stays finite where the
-    expectation underflows.  c enters through c/sqrt(1+c) <= sqrt(c), so no
-    step overflows for any finite c."""
-    root_a, s = math.sqrt(math.pi * lam), math.sqrt(1.0 + c)
-    z = root_a * (c / s) + x0 * root_a * s
-    q = math.pi * math.sqrt(lam) * ((c / s) * specfun.erfcx(z))
-    prefactor = math.exp(-math.pi * lam * (x0 * x0 + c * (1.0 + x0) ** 2))
+def _quadratic_gain_tail(lam: float, c: float, x0: float = 0.0,
+                         relief: float = 0.0) -> tuple[float, float]:
+    """E[exp(-pi lam (1+x)(c (1+x) - relief)); x >= x0] by the identity of
+    the module docstring, and q, the ratio of its correction term to its
+    leading one, which stays finite where the expectation underflows.  With
+    0 <= relief <= c, m lies in [c/(2 sqrt(1+c)), c/sqrt(1+c)], below
+    sqrt(c), so no step overflows for any finite c."""
+    a = _pi_lambda(lam)
+    root_a, s = math.sqrt(a), math.sqrt(1.0 + c)
+    m = (c - 0.5 * relief) / s
+    z = root_a * m + x0 * root_a * s
+    q = math.pi * math.sqrt(float(lam)) * (m * specfun.erfcx(z))
+    prefactor = math.exp(-a * (x0 * x0 + c * (1.0 + x0) ** 2 - relief * (1.0 + x0)))
     return prefactor * (1.0 - q) / (1.0 + c), q
+
+
+def cp_g1_closed(cfg: NetworkConfig) -> CpValue:
+    """Exact additive-offset coverage: the tail identity of the module
+    docstring at c = c1 with relief c2 over x >= 0.  The paper prints it
+    with an erfc(-z) - 2 factor, which cancels in the deep tail; this form
+    does not, so raw stays positive at any density."""
+    dc = derived_constants(cfg.alpha, cfg.tau)
+    return _cp(_quadratic_gain_tail(cfg.lambda_bs, dc.c1, relief=dc.c2)[0], "closed_form")
 
 
 def _g2_tail_gain(alpha: float, c1: float) -> float:
@@ -327,12 +288,12 @@ def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
 
 
 def cp_for_model(cfg: NetworkConfig, model: PathlossModel) -> CpValue:
-    """Analytic coverage dispatcher; quadrature is authoritative for the
-    bounded models.  The min(1, d^-alpha) law is simulation-only."""
+    """Analytic coverage dispatcher: closed forms except the quadrature of
+    g2; the min(1, d^-alpha) law is simulation-only."""
     if model is PathlossModel.UNBOUNDED:
         return cp_upm(cfg)
     if model is PathlossModel.BOUNDED_G1:
-        return cp_g1_quadrature(cfg)
+        return cp_g1_closed(cfg)
     if model is PathlossModel.BOUNDED_G2:
         return cp_g2(cfg)
     raise UnsupportedPathlossError(
@@ -367,8 +328,8 @@ def ase_lower(cfg: NetworkConfig) -> AseValue:
     Underflows to zero once pi lam (1 + 2^a c1) exceeds the float range;
     scaling_envelope_check carries the ratio form that stays finite.
     """
-    lam = cfg.lambda_bs
-    return AseValue(lam * math.log2(1.0 + cfg.tau) * cp_g2_lower(cfg).value, lam)
+    cp, lam = cp_g2_lower(cfg).value, cfg.lambda_bs
+    return AseValue(lam * math.log2(1.0 + cfg.tau) * cp, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 The quadrature oracles deliberately evaluate defining integrals through
 QUADPACK routes that share nothing with the package's own panel/series
 evaluations.  hyf_series_reference is the plain term-by-term series loop,
-kept as the exact reference for specfun.hyf_series.
+kept as the exact reference for specfun.hyf_series, and g1_printed_form is
+the paper's closed form of the g1 coverage as printed.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
@@ -48,3 +51,26 @@ def hyf_series_reference(w, c):
         if not np.any(term > 1e-17):
             break
     return total
+
+
+def g1_printed_form(lam, c1, c2, c_hat):
+    """The paper's closed form of the (1+d)^-alpha coverage, as printed:
+
+        e^(-pi lam c_hat)/(1+c1) + pi sqrt(lam) (c1+c_hat) / (2 (1+c1)^(3/2))
+            * e^(pi lam (c2^2 - 4 c_hat)/(4 (1+c1))) * (erfc(-z) - 2),
+        z = sqrt(pi lam) (c1+c_hat) / (2 sqrt(1+c1)).
+
+    The erfc(-z) - 2 factor cancels deep in the tail, so the value drifts
+    there (even below zero); it is kept as a check of the transcription, not
+    as a reference for the tail."""
+    z = math.sqrt(math.pi * lam) * (c1 + c_hat) / (2.0 * math.sqrt(1.0 + c1))
+    tail_factor = math.erfc(-z) - 2.0
+    raw = math.exp(-math.pi * lam * c_hat) / (1.0 + c1)
+    if tail_factor != 0.0:
+        # skipping an underflowed factor avoids 0 * inf when the exponential
+        # prefactor grows (c2^2 > 4 c_hat at large thresholds)
+        prefactor = (math.pi * math.sqrt(lam) * (c1 + c_hat)
+                     * math.exp(math.pi * lam * (c2 * c2 - 4.0 * c_hat) / (4.0 * (1.0 + c1)))
+                     / (2.0 * (1.0 + c1) ** 1.5))
+        raw += prefactor * tail_factor
+    return raw

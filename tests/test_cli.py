@@ -37,7 +37,7 @@ def test_import_leaves_scipy_unloaded():
 
 PUBLIC_NAMES = {
     "NetworkConfig", "PathlossModel", "CpValue", "AseValue", "SimParams", "SimEstimate",
-    "QuadratureError", "ConsistencyError", "BracketError", "UnsupportedPathlossError",
+    "QuadratureError", "BracketError", "UnsupportedPathlossError",
     "cp_upm", "cp_g1_closed", "cp_g1_quadrature", "cp_g1_lower", "cp_g1_upper",
     "cp_g2", "cp_g2_lower", "cp_g2_upper", "cp_for_model",
     "ase", "ase_upper", "ase_lower", "optimal_density_closed", "optimal_density_numeric",
@@ -86,6 +86,8 @@ NUMERICAL_FAILURES = [
     (["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"], "overflows"),
     (["optimal-density", "--alpha", "2000"], "2^alpha/(pi c_hat) overflows at alpha=2000"),
     (["cp-sweep", "--alpha", "1e17", "--points", "1"], "1 - 1/alpha rounds to 1"),
+    (["cp-sweep", "--lambda-min", "1e308", "--lambda-max", "1e308", "--points", "1"],
+     "pi*lambda overflows"),
 ]
 
 

@@ -212,9 +212,13 @@ class TestEstimates:
         # per-trial indicator must match the public sample/SIR route draw
         # for draw.  In the default window the slots it masks beyond the
         # edge carry little power; in a sparse window holding about two
-        # stations they would carry most of it.
+        # stations they would carry most of it.  A window holding about 128
+        # stations ends before the first chunk's last column in some rows
+        # and after it in others, so that chunk needs its mask as soon as
+        # any row, not only every row, passes the edge.
         cfg = NetworkConfig(lam, 4.0, tau)
-        for radius in (window_radius(lam), math.sqrt(2.0 / (math.pi * lam))):
+        for radius in (window_radius(lam), math.sqrt(2.0 / (math.pi * lam)),
+                       math.sqrt(128.0 / (math.pi * lam))):
             params = SimParams(window_radius=radius, trials=1, seed=42)
             fast = np.concatenate([mc._covered_block(cfg, model, params, block)
                                    for block in range(-(-300 // B))])[:300]
