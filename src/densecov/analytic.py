@@ -313,23 +313,19 @@ def ase(cfg: NetworkConfig, cp: CpValue) -> AseValue:
 
 
 def ase_upper(cfg: NetworkConfig) -> AseValue:
-    """Upper envelope lam log2(1+tau) e^(-kappa_upper lam) / (1 + 2^-a c_hat);
-    exactly proportional to the rate function lam e^(-kappa_upper lam)."""
-    dc = derived_constants(cfg.alpha, cfg.tau)
-    lam = cfg.lambda_bs
-    val = lam * math.log2(1.0 + cfg.tau) * math.exp(-dc.kappa_upper * lam) \
-        / (1.0 + 2.0**-cfg.alpha * dc.c_hat)
-    return AseValue(val, lam)
+    """Upper envelope lam log2(1+tau) e^(-kappa_upper lam) / (1 + 2^-a c_hat),
+    the ASE of the g2 upper bound; exactly proportional to the rate function
+    lam e^(-kappa_upper lam)."""
+    return ase(cfg, cp_g2_upper(cfg))
 
 
 def ase_lower(cfg: NetworkConfig) -> AseValue:
-    """Lower envelope lam log2(1+tau) times the g2 tail bound cp_g2_lower.
+    """Lower envelope: the ASE of the g2 tail bound cp_g2_lower.
 
     Underflows to zero once pi lam (1 + 2^a c1) exceeds the float range;
     scaling_envelope_check carries the ratio form that stays finite.
     """
-    cp, lam = cp_g2_lower(cfg).value, cfg.lambda_bs
-    return AseValue(lam * math.log2(1.0 + cfg.tau) * cp, lam)
+    return ase(cfg, cp_g2_lower(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +422,8 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
 # erfcx itself, then the two-term continued fraction.  The limit carries
 # 4 u, this factor included.  The check allows twice the sum.
 _Q_ROUNDING = 1.0 + 48.0 * 2.0**-53
+# the smallest normal float
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -484,18 +482,22 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
     big_m = rate / (1.0 + 2.0**-alpha * dc.c_hat)
 
     points = []
-    for lam in grid:
-        q2q1 = _quadratic_gain_tail(float(lam), beta, 1.0)[1]
+    for lam in map(float, grid):
+        q2q1 = _quadratic_gain_tail(lam, beta, 1.0)[1]
         lower_ratio = rate / (1.0 + beta) * (1.0 - q2q1)
         # the upper envelope is proportional to its rate function by
-        # construction; recompute the ratio where the rate is representable
+        # construction; recompute the ratio where the rate, the bound and
+        # the envelope are normal floats, since a subnormal holds too few
+        # digits for the test below
+        cfg = NetworkConfig(lam, alpha, tau)
+        cp_hi = cp_g2_upper(cfg)
+        a_u = ase(cfg, cp_hi).value
         rf = lam * math.exp(-dc.kappa_upper * lam)
-        upper_ratio = ase_upper(NetworkConfig(lam, alpha, tau)).value / rf if rf > 0.0 else big_m
+        upper_ratio = a_u / rf if min(rf, cp_hi.value, a_u) >= _TINY else big_m
         in_tail = lam >= lam0
         ok = lower_ratio > 0.0 and 0.0 < q2q1 <= q_max \
             and abs(upper_ratio - big_m) <= 1e-12 * big_m
-        points.append(ScalingPoint(float(lam), lower_ratio, upper_ratio, q2q1,
-                                   in_tail, ok))
+        points.append(ScalingPoint(lam, lower_ratio, upper_ratio, q2q1, in_tail, ok))
     tail_ratios = [p.lower_ratio for p in points if p.in_tail]
     m = min(tail_ratios) if tail_ratios else min(p.lower_ratio for p in points)
     return ScalingReport(tuple(points), lam0, m, big_m, all(p.ok for p in points))

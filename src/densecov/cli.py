@@ -221,10 +221,10 @@ def _run_sweep(args, with_ase: bool) -> int:
     tau = db_to_linear(args.tau_db)
     p_bs = db_to_linear(args.p_bs)
     rows = []
-    for lam in grid:
-        cfg = NetworkConfig(lambda_bs=float(lam), alpha=args.alpha, tau=tau, p_bs=p_bs)
+    for lam in map(float, grid):
+        cfg = NetworkConfig(lambda_bs=lam, alpha=args.alpha, tau=tau, p_bs=p_bs)
         cp, cp_lo, cp_hi = _analytic_cp(cfg, model)
-        row = SweepRow(lambda_bs=float(lam), model=args.model)
+        row = SweepRow(lambda_bs=lam, model=args.model)
         if cp is not None:
             row.cp_analytic = cp.value
             row.cp_lower = None if cp_lo is None else cp_lo.value
@@ -239,13 +239,13 @@ def _run_sweep(args, with_ase: bool) -> int:
             row.rate_function = lam * math.exp(-dc.kappa_upper * lam)
         if args.trials > 0:
             params = mc.SimParams(
-                window_radius=mc.window_radius(float(lam)),
+                window_radius=mc.window_radius(lam),
                 trials=args.trials, seed=args.seed)
             est = mc.estimate_cp(cfg, model, params)
             row.cp_mc_mean = est.mean
             row.cp_mc_stderr = est.stderr
             if with_ase:
-                scale = float(lam) * math.log2(1.0 + tau)
+                scale = lam * math.log2(1.0 + tau)
                 row.ase_mc_mean = scale * est.mean
         rows.append(row)
     lines = _header_lines(args, "ase-sweep" if with_ase else "cp-sweep")

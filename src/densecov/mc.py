@@ -19,10 +19,8 @@ Consequences the tests rely on:
   * enlarging the window only adds chunks, so realizations stay coupled
     across window sizes and truncation effects can be measured on coupled
     samples rather than buried in sampling noise;
-  * the coverage path draws no angles (the SIR depends on distances only)
-    and keeps O(B*C) numbers in memory whatever the trial count.  Station
-    angles, needed only by the public Realization, come from a separate
-    substream of the block key and never shift the coverage draws.
+  * the coverage path keeps O(B*C) numbers in memory whatever the trial
+    count.
 """
 
 from __future__ import annotations
@@ -75,24 +73,25 @@ class SimParams:
 
 @dataclass
 class Realization:
-    """One sampled network: station positions, the serving (nearest) station,
-    and per-station fading gains."""
+    """One sampled network as the SIR sees it (it depends on distances
+    only): station distances in ascending order, the serving (nearest)
+    station first, and per-station fading gains."""
 
-    bs_points: np.ndarray      # (n, 2) positions in meters
-    serving_index: int
-    serving_distance: float
+    distances: np.ndarray      # (n,) meters, ascending
     fading: np.ndarray         # (n,) unit-mean exponential gains
 
     def __post_init__(self):
-        if self.bs_points.shape[0] == 0:
+        if self.distances.shape[0] == 0:
             raise ValueError("realization must contain at least one station")
-        if self.bs_points.shape[0] != self.fading.shape[0]:
+        if self.distances.shape != self.fading.shape:
             raise ValueError("fading must have one entry per station")
-        if np.any(self.fading <= 0.0):
+        # phrased so that NaN fails too
+        if not np.all(self.fading > 0.0):
             raise ValueError("fading gains must be positive")
-        d = np.hypot(self.bs_points[:, 0], self.bs_points[:, 1])
-        if self.serving_distance > d.min() * (1.0 + 1e-12):
-            raise ValueError("serving station is not the nearest one")
+        if not np.all(self.distances >= 0.0):
+            raise ValueError("distances must be >= 0")
+        if not np.all(np.diff(self.distances) >= 0.0):
+            raise ValueError("distances must be ascending, the serving station first")
 
 
 def block_generator(seed: int, block: int) -> np.random.Generator:
@@ -164,28 +163,18 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     """The realizations of trials [block*B, (block+1)*B), drawn from the same
     stream as the coverage kernel, on the disk of radius window_radius.
 
-    Each count is Poisson(lam pi R^2) conditioned on at least one station,
-    and positions are uniform on the disk (exact properties of the radial
-    construction).  Angles come from the block key's second substream.
+    Each count is Poisson(lam pi R^2) conditioned on at least one station
+    (an exact property of the radial construction).
     """
     a = math.pi * cfg.lambda_bs
     s_max = a * params.window_radius**2
-    rng = block_generator(params.seed, block)
-    # jumped() leaves rng as it is: the angles' substream starts
-    # (phi - 1) * 2^128, about 2.1e38, draws on
-    angle_rng = np.random.Generator(rng.bit_generator.jumped())
-    parts = [(s, h, angle_rng.uniform(0.0, 2.0 * math.pi, s.shape))
-             for s, h in _radial_chunks(rng, s_max)]
-    s, h, theta = (np.concatenate(x, axis=1) for x in zip(*parts))
+    s, h = (np.concatenate(x, axis=1) for x in zip(
+        *_radial_chunks(block_generator(params.seed, block), s_max)))
     r = np.sqrt(s / a)
     # the serving station is always in: its draw may round just past s_max
     counts = 1 + np.count_nonzero(s[:, 1:] <= s_max, axis=1)
-    out = []
-    for row, n in enumerate(counts):
-        pts = np.column_stack([r[row, :n] * np.cos(theta[row, :n]),
-                               r[row, :n] * np.sin(theta[row, :n])])
-        out.append(Realization(pts, 0, float(r[row, 0]), h[row, :n].copy()))
-    return out
+    return [Realization(r[row, :n].copy(), h[row, :n].copy())
+            for row, n in enumerate(counts)]
 
 
 def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> float:
@@ -195,16 +184,15 @@ def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> 
     Raises FloatingPointError when there are interferers but their total
     received power underflows to zero, which would read as covered too.
     """
-    d = np.hypot(realization.bs_points[:, 0], realization.bs_points[:, 1])
-    received = pathloss_gain(model, alpha, d) * realization.fading
-    interferers = np.delete(received, realization.serving_index)
+    received = pathloss_gain(model, alpha, realization.distances) * realization.fading
+    interferers = received[1:]
     if interferers.size == 0:
         return math.inf
     interference = float(interferers.sum())
     if interference <= 0.0:
         raise FloatingPointError(f"received power of all {interferers.size} interferers "
                                  f"underflows to zero (alpha={alpha:g})")
-    return float(received[realization.serving_index]) / interference
+    return float(received[0]) / interference
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,10 @@ class NetworkConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 < self.p_bs < math.inf:
             raise ValueError(f"p_bs must be positive and finite, got {self.p_bs}")
+        # a numpy scalar would warn where float arithmetic overflows to inf;
+        # converting after the checks keeps a string a validation error
+        for name in ("lambda_bs", "alpha", "tau", "p_bs"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def pathloss_gain(model: PathlossModel, alpha: float, d):

@@ -298,7 +298,7 @@ def test_criterion_09_simulator_soundness():
     params = mc_params(lam, 1)
     cfg = cfg_at(lam)
     d2 = np.sort(np.array([
-        r.serving_distance**2 for r in mc_realizations(cfg, params, 0, 10_000)]))
+        r.distances[0]**2 for r in mc_realizations(cfg, params, 0, 10_000)]))
     model_cdf = -np.expm1(-math.pi * lam * d2)
     n = d2.size
     ecdf_hi = np.arange(1, n + 1) / n

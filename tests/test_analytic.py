@@ -443,7 +443,24 @@ class TestAseBounds:
     def test_lower_matches_scaled_tail_coverage(self):
         for lam in (1e-3, 0.1, 0.3):
             cfg = cfg_at(lam)
-            assert ase_lower(cfg).value == lam * math.log2(11.0) * cp_g2_lower(cfg).value
+            assert ase_lower(cfg) == ase(cfg, cp_g2_lower(cfg))
+
+    def test_upper_is_the_ase_of_the_g2_upper_bound(self):
+        for lam in (1e-3, 0.1, 0.3):
+            cfg = cfg_at(lam)
+            assert ase_upper(cfg) == ase(cfg, cp_g2_upper(cfg))
+
+    @pytest.mark.parametrize("lam", [5.5e307, np.float64(1e308)])
+    def test_envelopes_vanish_where_lam_log2_overflows(self, lam):
+        # lam log2(1 + tau) overflows here while the coverage bounds are 0:
+        # scaling lam by the coverage first keeps inf * 0 = nan out, and a
+        # numpy density is stored as a float, which overflows without a
+        # warning.  At 1e308 pi lam overflows and the lower bound raises.
+        cfg = NetworkConfig(lam, 4.0, 10.0)
+        assert cp_g2_upper(cfg).value == 0.0
+        assert ase_upper(cfg).value == 0.0
+        if lam == 5.5e307:
+            assert ase_lower(cfg).value == 0.0
 
     def test_lower_underflows_to_zero_deep_in_the_tail(self):
         assert ase_lower(cfg_at(5.0)).value == 0.0
@@ -517,6 +534,17 @@ class TestScalingEnvelope:
         lam0 = optimal_density_closed(alpha, 10.0)
         report = scaling_envelope_check(alpha, 10.0, np.geomspace(lam0, 10.0 * lam0, 4))
         assert report.all_pass and report.m > 0.0
+
+    @pytest.mark.parametrize("alpha, tau", [(4.0, 10.0), (2.5, 10.0), (3.0, 1000.0)])
+    def test_passes_where_the_envelope_turns_subnormal(self, alpha, tau):
+        # kappa_upper lam from 700 to 746: the rate and the envelope lose
+        # digits below the smallest normal float, where the upper ratio
+        # cannot be recomputed to 1e-12; a float density overflows quietly
+        kappa = derived_constants(alpha, tau).kappa_upper
+        lam0 = optimal_density_closed(alpha, tau)
+        grid = np.concatenate([[lam0], np.linspace(700.0, 746.0, 47) / kappa, [5e307]])
+        report = scaling_envelope_check(alpha, tau, grid)
+        assert report.all_pass
 
     def test_erfcx_off_by_1e12_fails_the_check(self, monkeypatch):
         erfcx = specfun.erfcx

@@ -365,14 +365,15 @@ class TestValidate:
 
 @st.composite
 def analytic_argv(draw):
-    """A sweep or optimal-density command line inside the documented ranges."""
-    log_lam = st.floats(-8.0, 3.0)
+    """A sweep or optimal-density command line over the ranges the CLI
+    accepts: any finite density and thresholds within +-3000 dB."""
+    log_lam = st.floats(-300.0, 308.2)
     lo, hi = sorted(10.0 ** draw(log_lam) for _ in range(2))
     command = draw(st.sampled_from(["cp-sweep", "ase-sweep", "optimal-density"]))
     argv = [command,
             "--model", draw(st.sampled_from(["upm", "g1", "g2", "minb"])),
             "--alpha", repr(draw(st.floats(2.0, 10.0, exclude_min=True))),
-            "--tau-db", repr(draw(st.floats(-20.0, 30.0))),
+            "--tau-db", repr(draw(st.floats(-3000.0, 3000.0))),
             "--lambda-min", repr(lo), "--lambda-max", repr(hi)]
     if command != "optimal-density":
         argv += ["--points", str(draw(st.integers(1, 3)))]
@@ -382,11 +383,28 @@ def analytic_argv(draw):
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(argv=analytic_argv())
 @example(argv=["optimal-density", "--lambda-min", "0.5", "--lambda-max", "0.5"])
+# lam log2(1 + tau) overflows while the envelopes are 0
+@example(argv=["ase-sweep", "--model", "g1", "--tau-db", "3000",
+               "--lambda-min", "1e306", "--lambda-max", "1e306", "--points", "1"])
+# the golden-section scan evaluates numpy densities
+@example(argv=["optimal-density", "--model", "g2", "--alpha", "6", "--tau-db", "1200",
+               "--lambda-min", "1e-100", "--lambda-max", "1e200"])
+# kappa_upper lam overflows in the rate function
+@example(argv=["ase-sweep", "--model", "upm", "--tau-db", "30",
+               "--lambda-min", "1e307", "--lambda-max", "1.7e308", "--points", "2"])
 def test_every_analytic_command_ends_in_a_defined_exit_code(argv):
-    # exit 1 belongs to validate alone; a traceback or a warning is a defect
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # exit 1 belongs to validate alone; a traceback, a warning or a nan
+    # cell is a defect
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERICAL)
+    if rc == cli.EXIT_OK:
+        assert err.getvalue() == ""
+        cells = [c for row in parse_rows(out.getvalue()) for c in row.values()]
+        assert "nan" not in cells
+    elif rc == cli.EXIT_NUMERICAL:
+        assert err.getvalue().count("\n") == 1
 
 
 class TestDbConversion:

@@ -80,15 +80,14 @@ class TestSampleNetwork:
         params = params_for(0.3, 1, seed=7)
         r1 = sample_block(CFG, params, 0)[0]
         r2 = sample_block(CFG, params, 0)[0]
-        assert np.array_equal(r1.bs_points, r2.bs_points)
+        assert np.array_equal(r1.distances, r2.distances)
         assert np.array_equal(r1.fading, r2.fading)
-        assert r1.serving_index == r2.serving_index == 0
 
     def test_poisson_count_mean(self):
         # window sized so lam * pi * R^2 = 100
         R = math.sqrt(100.0 / math.pi)
         params = SimParams(window_radius=R, trials=1, seed=3)
-        counts = [r.bs_points.shape[0] for r in realizations(CFG_LAM1, params, 0, 10_000)]
+        counts = [r.distances.size for r in realizations(CFG_LAM1, params, 0, 10_000)]
         mean = float(np.mean(counts))
         assert abs(mean - 100.0) <= 3.0 * math.sqrt(100.0 / 10_000.0)
 
@@ -97,7 +96,7 @@ class TestSampleNetwork:
         lam = 0.5
         params = params_for(lam, 1, seed=11)
         cfg = NetworkConfig(lam, 4.0, 10.0)
-        d2 = np.array([r.serving_distance**2 for r in realizations(cfg, params, 0, 2000)])
+        d2 = np.array([r.distances[0]**2 for r in realizations(cfg, params, 0, 2000)])
         expected = 1.0 / (math.pi * lam)
         assert abs(d2.mean() - expected) <= 4.0 * expected / math.sqrt(2000.0)
 
@@ -108,9 +107,9 @@ class TestSampleNetwork:
         p_big = SimParams(window_radius=2.0 * p_small.window_radius, trials=1, seed=42)
         r_small = sample_block(CFG, p_small, 5 // B)[5 % B]
         r_big = sample_block(CFG, p_big, 5 // B)[5 % B]
-        n = r_small.bs_points.shape[0]
-        assert r_big.bs_points.shape[0] > n
-        assert np.array_equal(r_big.bs_points[:n], r_small.bs_points)
+        n = r_small.distances.size
+        assert r_big.distances.size > n
+        assert np.array_equal(r_big.distances[:n], r_small.distances)
         assert np.array_equal(r_big.fading[:n], r_small.fading)
 
     def test_sparse_window_always_has_a_serving_station(self):
@@ -120,8 +119,8 @@ class TestSampleNetwork:
         params = SimParams(window_radius=math.sqrt(s_max / (math.pi * lam)), trials=1, seed=1)
         cfg = NetworkConfig(lam, 4.0, 10.0)
         rs = list(realizations(cfg, params, 0, n))
-        assert len(rs) == n and all(r.bs_points.shape[0] >= 1 for r in rs)
-        s = math.pi * lam * np.array([r.serving_distance**2 for r in rs])
+        assert len(rs) == n and all(r.distances.size >= 1 for r in rs)
+        s = math.pi * lam * np.array([r.distances[0]**2 for r in rs])
         expected = 1.0 - s_max / math.expm1(s_max)
         # the law is nearly uniform on [0, s_max], and its deviation is below
         # the uniform's s_max / sqrt(12)
@@ -136,26 +135,50 @@ class TestSampleNetwork:
         assert np.array_equal(s0[:, 0], -np.log1p(-u))
 
     def test_realization_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Realization(np.empty((0, 2)), 0, 0.0, np.empty(0))
-        with pytest.raises(ValueError):
-            Realization(np.array([[1.0, 0.0], [0.5, 0.0]]), 0, 1.0,
-                        np.array([1.0, 1.0]))  # serving station is not nearest
+        for distances, fading in [
+                ([], []),
+                ([1.0, 0.5], [1.0, 1.0]),         # not ascending: 0.5 would serve
+                ([1.0, 2.0], [1.0]),
+                ([1.0, 2.0], [1.0, 0.0]),
+                ([-1.0, 2.0], [1.0, 1.0]),
+                ([1.0, math.nan], [1.0, 1.0])]:
+            with pytest.raises(ValueError):
+                Realization(np.array(distances), np.array(fading))
+
+    @pytest.mark.parametrize("radius_of", [
+        pytest.param(window_radius, id="default-window"),
+        pytest.param(lambda lam: math.sqrt(2.0 / (math.pi * lam)), id="two-station-window"),
+    ])
+    def test_rows_are_the_kernel_distances(self, radius_of):
+        # each realization is its row of sqrt(s / (pi lam)), the expression
+        # the coverage kernel evaluates, cut at the row's station count
+        lam = 0.3
+        params = SimParams(window_radius=radius_of(lam), trials=1, seed=42)
+        a = math.pi * lam
+        s_max = a * params.window_radius**2
+        s, h = (np.concatenate(x, axis=1) for x in zip(
+            *mc._radial_chunks(block_generator(42, 0), s_max)))
+        rows = sample_block(NetworkConfig(lam, 4.0, 10.0), params, 0)
+        assert len(rows) == B
+        for row, r in enumerate(rows):
+            n = r.distances.size
+            assert n == 1 + np.count_nonzero(s[row, 1:] <= s_max)
+            assert np.array_equal(r.distances, np.sqrt(s[row, :n] / a))
+            assert np.array_equal(r.fading, h[row, :n])
 
 
 class TestSirSample:
     def test_single_station_is_covered_at_any_threshold(self):
-        r = Realization(np.array([[2.0, 1.0]]), 0, math.sqrt(5.0), np.array([0.7]))
+        r = Realization(np.array([math.sqrt(5.0)]), np.array([0.7]))
         assert sir_sample(r, PathlossModel.BOUNDED_G1, 4.0) == math.inf
 
     def test_equidistant_equal_fading_gives_unit_sir(self):
-        r = Realization(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0, 1.0, np.array([0.9, 0.9]))
+        r = Realization(np.array([1.0, 1.0]), np.array([0.9, 0.9]))
         for model in PathlossModel:
             assert sir_sample(r, model, 4.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_three_station_hand_computation(self):
-        r = Realization(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]), 0, 1.0,
-                        np.array([0.5, 2.0, 1.0]))
+        r = Realization(np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.0, 1.0]))
         expected = (0.5 * 2.0**-4) / (2.0 * 3.0**-4 + 1.0 * 4.0**-4)
         assert sir_sample(r, PathlossModel.BOUNDED_G1, 4.0) == pytest.approx(
             expected, rel=1e-14)
@@ -166,13 +189,13 @@ class TestSirSample:
         lam = 1e-200
         cfg = NetworkConfig(lambda_bs=lam, alpha=4.0, tau=10.0)
         block = sample_block(cfg, params_for(lam, B), 0)
-        assert all(r.bs_points.shape[0] > 1 for r in block)
+        assert all(r.distances.size > 1 for r in block)
         for r in block:
             with pytest.raises(FloatingPointError):
                 sir_sample(r, PathlossModel.BOUNDED_G1, cfg.alpha)
 
     def test_unbounded_rejects_station_at_origin(self):
-        r = Realization(np.array([[0.0, 0.0], [1.0, 1.0]]), 0, 0.0, np.array([1.0, 1.0]))
+        r = Realization(np.array([0.0, math.sqrt(2.0)]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             sir_sample(r, PathlossModel.UNBOUNDED, 4.0)
 
@@ -208,7 +231,7 @@ class TestEstimates:
             "" if (lam, tau) == (0.3, 10.0) else f"-lam{lam:g}-tau{tau:g}"))
         for lam in (0.3, 1e-3) for tau in (10.0, 1.0) for model in PathlossModel])
     def test_fast_path_parity_with_public_sampling(self, model, lam, tau):
-        # the coverage kernel skips angles and Realization objects; its
+        # the coverage kernel skips Realization objects; its
         # per-trial indicator must match the public sample/SIR route draw
         # for draw.  In the default window the slots it masks beyond the
         # edge carry little power; in a sparse window holding about two

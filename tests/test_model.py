@@ -90,6 +90,17 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match=needle):
             NetworkConfig(**kwargs)
 
+    def test_numbers_are_stored_as_floats(self):
+        cfg = NetworkConfig(np.float64(1e308), np.int64(4), np.float32(10.0), 100)
+        assert cfg == NetworkConfig(1e308, 4.0, 10.0, 100.0)
+        assert all(type(getattr(cfg, f.name)) is float for f in dataclasses.fields(cfg))
+        # numpy would warn here; a float overflows to inf quietly
+        assert cfg.lambda_bs * 10.0 == math.inf
+
+    def test_string_fails_validation(self):
+        with pytest.raises(TypeError):
+            NetworkConfig("0.1", 4.0, 10.0)
+
     def test_immutable(self):
         cfg = NetworkConfig(0.1, 4.0, 10.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
