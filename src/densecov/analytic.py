@@ -219,8 +219,13 @@ def _quadratic_gain_tail(lam: float, c: float, x0: float = 0.0,
     root_a, s = math.sqrt(a), math.sqrt(1.0 + c)
     m = (c - 0.5 * relief) / s
     z = root_a * m + x0 * root_a * s
-    q = math.pi * math.sqrt(float(lam)) * (m * specfun.erfcx(z))
     prefactor = math.exp(-a * (x0 * x0 + c * (1.0 + x0) ** 2 - relief * (1.0 + x0)))
+    if x0 == 0.0 and z >= specfun._ERFC_SWITCH:
+        # here q = z/f with f = z + t the erfc continued fraction, so
+        # 1 - q = t/(z + t) holds no cancellation as q nears 1
+        t = specfun.erfc_cf_tail(z)
+        return prefactor * (t / (z + t)) / (1.0 + c), z / (z + t)
+    q = math.pi * math.sqrt(float(lam)) * (m * specfun.erfcx(z))
     return prefactor * (1.0 - q) / (1.0 + c), q
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: density sweeps, optimal-density reports, and
 simulator-vs-formula validation.  All output is CSV (stdout or a file).
 
-Exit codes: 0 success, 1 validation disagreement, 2 usage error,
-3 numerical failure.
+Exit codes: 0 success, 1 validation disagreement, 2 usage error (also a
+validation without an informative row), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ EXIT_NUMERICAL = 3
 ASSUMED_TAU_DB = (0.0, 10.0)
 
 VALIDATE_MIN_TRIALS = 10_000
+# a validate row can show a disagreement only where the analytic coverage
+# predicts this many covered trials; below it |z| stays small whatever the
+# simulator does
+VALIDATE_MIN_HITS = 10
 MAX_ABS_DB = 3000.0
 # a grid is allocated whole and each point costs milliseconds; a trial costs
 # tens of microseconds, so the caps bound one run to hours, not forever
@@ -331,9 +335,12 @@ def cmd_validate(args) -> int:
         f"model={args.model} mc_model={args.mc_model or args.model} "
         f"trials={args.trials} seed={args.seed} window_k={_fmt(mc.WINDOW_K)}",
         "model_analytic,model_mc,lambda_bs,cp_analytic,cp_mc_mean,cp_mc_stderr,"
-        "z_score,within_3se",
+        "z_score,within_3se,expected_hits,informative",
     ]
     all_ok = True
+    weak = []
+    powered = False
+    top = (-1.0, 0.0)  # (cp_analytic, density) of the row with most power
     for analytic_model in analytic_models:
         mc_model = analytic_model if args.mc_model is None \
             else PathlossModel.from_tag(args.mc_model)
@@ -352,10 +359,32 @@ def cmd_validate(args) -> int:
             z = (est.mean - cp.value) / se if se > 0.0 else 0.0
             ok = abs(z) <= 3.0
             all_ok = all_ok and ok
+            hits = args.trials * cp.value
+            informative = hits >= VALIDATE_MIN_HITS
+            powered = powered or informative
+            if not informative:
+                weak.append(f"{analytic_model.value}@{_fmt(lam)}")
+            top = max(top, (cp.value, lam))
             lines.append(",".join(_fmt(v) for v in (
                 analytic_model.value, mc_model.value, lam, cp.value, est.mean,
-                est.stderr, z, int(ok))))
+                est.stderr, z, int(ok), hits, int(informative))))
+    if weak:
+        lines.insert(1, f"# note: uninformative rows (expected_hits below "
+                        f"{VALIDATE_MIN_HITS}, too few to show a disagreement): "
+                        f"{' '.join(weak)}")
     _write(lines, args.output)
+    if not powered:
+        cp_top, lam_top = top
+        if cp_top > 0.0:
+            trials = math.ceil(VALIDATE_MIN_HITS / cp_top)
+            need = f"--trials {trials}" + (
+                f", above the cap of {MAX_TRIALS:,}" if trials > MAX_TRIALS else "")
+        else:
+            need = "more trials than any count"
+        return _usage_error(
+            f"no row is informative: trials x cp_analytic is below {VALIDATE_MIN_HITS} "
+            f"on every row; the largest cp_analytic, {cp_top:.3g} at {lam_top:g} BS/m^2, "
+            f"needs {need}")
     return EXIT_OK if all_ok else EXIT_DISAGREEMENT
 
 

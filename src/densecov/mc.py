@@ -9,17 +9,26 @@ default generator) keyed by (seed, b) through a SeedSequence spawn key, and
 trial t is row t % B of block t // B.  PCG64 draws the exponentials, which
 are most of a block's cost, in about 70 % of Philox's time, and the
 spawn key keys it by (seed, b) as well as Philox's counter key would.
-Within a block, stations are generated in radial order: squared distances
-are a unit-rate Poisson arrival sequence in pi*lam*r^2, drawn as (B, C)
-chunks of exponential gaps and fading gains, one row per trial.
+
+Within a block, one row per trial, stations are generated ring by ring in
+the squared-distance scale s = pi*lam*r^2, where the field is a unit-rate
+Poisson process.  The serving (nearest) station comes first, at its
+exponential law; then each ring [k W, (k+1) W) of the scale holds a
+Poisson count of stations, with mean the ring's length past the serving
+station, at independent uniform positions on that length (Haenggi,
+"Stochastic Geometry for Wireless Networks", 2012, ch. 2).  A trial costs
+one Poisson draw per ring and one uniform and one exponential fading gain
+per station: in the default window, of mean 576 stations, eight rings
+hold about 579, and the 0.7 % past the window edge are masked.
 Consequences the tests rely on:
 
   * whole blocks are always drawn, so a trial's outcome is a pure function
     of (seed, trial_index) and does not depend on how many trials run;
-  * enlarging the window only adds chunks, so realizations stay coupled
-    across window sizes and truncation effects can be measured on coupled
-    samples rather than buried in sampling noise;
-  * the coverage path keeps O(B*C) numbers in memory whatever the trial
+  * whole rings are always drawn, so enlarging the window only adds rings:
+    realizations stay coupled across window sizes and truncation effects
+    can be measured on coupled samples rather than buried in sampling
+    noise;
+  * the coverage path keeps O(B*W) numbers in memory whatever the trial
     count.
 """
 
@@ -32,8 +41,11 @@ import numpy as np
 
 from .model import NetworkConfig, PathlossModel, _gain, pathloss_gain
 
-_BLOCK_TRIALS = 64
-_CHUNK = 128
+_BLOCK_TRIALS = 128
+# ring width in the squared-distance scale pi lam d^2: the default window
+# s_max = WINDOW_K^2, which rounds an ulp either side of 576 with the
+# density, ends 4 units inside the eighth ring [507.5, 580)
+_RING = 72.5
 
 WINDOW_K = 24.0
 MIN_WINDOW_RADIUS = 1.0
@@ -108,53 +120,89 @@ def block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
-def _radial_chunks(rng: np.random.Generator, s_max: float):
-    """Yield a block's stations in radial order as (squared-distance scale,
-    fading) arrays with one row per trial: first the (B, 1) serving
-    stations, then (B, C) chunks of the rest until every row passes s_max.
-    Entries beyond s_max are left for the caller to mask.
+def _rings(rng: np.random.Generator, s_max: float):
+    """Yield a block's stations as one row per trial: first the (B,) serving
+    stations as (squared-distance scale, fading), then, for every ring
+    k = [k W, (k+1) W) of the scale that starts inside the window,
+    (counts, s, fading, edge): the (B,) station counts of each row in
+    the ring past its serving station, those stations' scales and fadings
+    laid out flat row after row, and the ring's outer edge (k+1) W.  Scales
+    past s_max occur in the last ring only and are left for the caller to
+    mask.  The consumer owns the yielded arrays and may overwrite them.
 
     The first arrival is drawn from its law given a non-empty window, the
     exponential truncated at s_max, by inverting its CDF; that is the law of
     redrawing until a station falls inside, without the redraws.  When
     -expm1(-s_max) rounds to 1 (the default window) it is bit-equal to the
-    untruncated inverse-CDF draw.  The later arrivals do not depend on the
-    first beyond starting from it.
+    untruncated inverse-CDF draw.  Given it at s0, the other stations are a
+    unit-rate Poisson process on (s0, inf), so each ring holds a Poisson
+    count, with mean the ring's length past s0, at independent uniform
+    positions on that length.  Whole rings are drawn whatever s_max, so a
+    ring's draws do not depend on the window.
     """
-    s = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
-    yield s[:, None], rng.standard_exponential((_BLOCK_TRIALS, 1))
-    while s.min() <= s_max:
-        gaps = rng.standard_exponential((_BLOCK_TRIALS, _CHUNK))
-        chunk = np.cumsum(gaps, axis=1, out=gaps)
-        chunk += s[:, None]
-        yield chunk, rng.standard_exponential((_BLOCK_TRIALS, _CHUNK))
-        s = chunk[:, -1]
+    s0 = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
+    yield s0, rng.standard_exponential(_BLOCK_TRIALS)
+    s0_max = s0.max()
+    k = 0
+    while k * _RING < s_max:
+        inner, edge = k * _RING, (k + 1) * _RING
+        if s0_max <= inner:
+            # every row holds the whole ring; a scalar mean draws the same
+            # counts as a constant array, at half the cost
+            counts = rng.poisson(edge - inner, _BLOCK_TRIALS)
+            s = rng.random(int(counts.sum()))
+            s *= edge - inner
+            s += inner
+        else:
+            # a serving station inside the ring moves that row's inner edge
+            # out to it; one past the ring leaves the row empty
+            start = np.maximum(s0, inner)
+            width = np.maximum(edge - start, 0.0)
+            counts = rng.poisson(width)
+            s = rng.random(int(counts.sum()))
+            s *= np.repeat(width, counts)
+            s += np.repeat(start, counts)
+        yield counts, s, rng.standard_exponential(s.size), edge
+        k += 1
+
+
+def _row_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each row's run of the flat x, rows laid out by counts; an
+    empty row sums to 0."""
+    starts = np.cumsum(counts) - counts
+    if counts.all():
+        return np.add.reduceat(x, starts)
+    # reduceat reads an empty run as the next row's first entry, and one at
+    # the end as an index past x, so it is given the non-empty rows only
+    sums = np.zeros(counts.size)
+    full = counts > 0
+    if full.any():
+        sums[full] = np.add.reduceat(x, starts[full])
+    return sums
 
 
 def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
                    block: int) -> np.ndarray:
     """Coverage indicator of every trial in one block.  Received powers are
-    summed chunk by chunk, so the working set is one (B, C) chunk; transmit
-    power cancels between signal and interference and never enters."""
+    summed ring by ring, so the working set is one ring; transmit power
+    cancels between signal and interference and never enters."""
     a = math.pi * cfg.lambda_bs
     s_max = a * params.window_radius**2
-    chunks = _radial_chunks(block_generator(params.seed, block), s_max)
-    s, h = next(chunks)
-    signal = pathloss_gain(model, cfg.alpha, np.sqrt(s[:, 0] / a)) * h[:, 0]
+    rings = _rings(block_generator(params.seed, block), s_max)
+    s0, h0 = next(rings)
+    signal = pathloss_gain(model, cfg.alpha, np.sqrt(s0 / a)) * h0
     interference = np.zeros(_BLOCK_TRIALS)
-    received = np.empty((_BLOCK_TRIALS, _CHUNK))
-    for s, h in chunks:
+    for counts, s, h, edge in rings:
+        outside = s > s_max if edge > s_max else None
         # interferers lie past the serving station, so their distances are
-        # >= 0 by construction and only the serving column above needs the
-        # validating path (which rejects d = 0 under the unbounded law)
-        np.sqrt(np.divide(s, a, out=received), out=received)
+        # >= 0 by construction and only the serving station above needs
+        # the validating path (which rejects d = 0 under the unbounded law)
+        received = np.sqrt(np.divide(s, a, out=s), out=s)
         _gain(model, cfg.alpha, received, received)
         received *= h
-        # rows are sorted, so only a chunk whose last column passes the
-        # window holds slots to mask
-        if s[:, -1].max() > s_max:
-            received[s > s_max] = 0.0
-        interference += received.sum(axis=1)
+        if outside is not None:
+            received[outside] = 0.0
+        interference += _row_sums(received, counts)
     # a trial with no interferer is covered at any finite threshold
     return (interference <= 0.0) | (signal > cfg.tau * interference)
 
@@ -164,17 +212,28 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     stream as the coverage kernel, on the disk of radius window_radius.
 
     Each count is Poisson(lam pi R^2) conditioned on at least one station
-    (an exact property of the radial construction).
+    (an exact property of the ring construction).  Each row's stations are
+    sorted by distance, their fadings with them.
     """
     a = math.pi * cfg.lambda_bs
     s_max = a * params.window_radius**2
-    s, h = (np.concatenate(x, axis=1) for x in zip(
-        *_radial_chunks(block_generator(params.seed, block), s_max)))
-    r = np.sqrt(s / a)
-    # the serving station is always in: its draw may round just past s_max
-    counts = 1 + np.count_nonzero(s[:, 1:] <= s_max, axis=1)
-    return [Realization(r[row, :n].copy(), h[row, :n].copy())
-            for row, n in enumerate(counts)]
+    rings = _rings(block_generator(params.seed, block), s_max)
+    s0, h0 = next(rings)
+    trial = np.arange(_BLOCK_TRIALS)
+    # the serving station is always in (its draw may round just past s_max)
+    # and comes first in its row, also on a tie
+    rows, s, h = [trial], [s0], [h0]
+    for counts, s_k, h_k, _ in rings:
+        inside = s_k <= s_max
+        rows.append(np.repeat(trial, counts)[inside])
+        s.append(s_k[inside])
+        h.append(h_k[inside])
+    rows, s, h = (np.concatenate(x) for x in (rows, s, h))
+    order = np.lexsort((s, rows))
+    r = np.sqrt(s[order] / a)
+    h = h[order]
+    cut = np.cumsum(np.bincount(rows, minlength=_BLOCK_TRIALS))[:-1]
+    return [Realization(d, f) for d, f in zip(np.split(r, cut), np.split(h, cut))]
 
 
 def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> float:

@@ -21,8 +21,10 @@ erfc itself is the standard library's math.erfc, which is within a few
 ulps of the true value (3.6e-16 worst relative error at 4801 points of
 [-6, 6] against 40-digit mpmath, where a Maclaurin series of our own
 reached 2.0e-13).  erfcx reads it below 2 and uses the Gauss continued
-fraction above, where erfc underflows long before erfcx does.  The tests
-audit both against independent quadrature and mpmath oracles.
+fraction above, where erfc underflows long before erfcx does.  The fraction
+is evaluated as its tail beyond the leading x, erfc_cf_tail, which the
+coverage identity also reads on its own.  The tests audit all three against
+independent quadrature and mpmath oracles.
 """
 
 from __future__ import annotations
@@ -51,23 +53,29 @@ def erfcx(x: float) -> float:
         raise ValueError(f"erfcx requires a finite argument, got {x}")
     if x < _ERFC_SWITCH:
         return math.exp(x * x) * math.erfc(x)
-    return 1.0 / (_SQRT_PI * _erfc_cf_denominator(x))
+    return 1.0 / (_SQRT_PI * (x + erfc_cf_tail(x)))
 
 
-def _erfc_cf_denominator(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/f with the Gauss continued fraction
-    # f = x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))), evaluated by
-    # modified Lentz.  From _CF_SHORT on, f = x + 1/(2x) is within
-    # 1/(2 x^4) <= 5e-17 of the whole fraction, while the Lentz ratios hover
-    # an ulp from 1 and pile up rounding errors before they stop (2.4e-14
-    # near x = 9.5e7), or never stop; beyond about 1e8, f rounds to x.
+def erfc_cf_tail(x: float) -> float:
+    """Tail t = f - x of the Gauss continued fraction behind
+    erfc(x) = exp(-x^2)/sqrt(pi) * 1/f, for finite x >= 2, where
+
+        f = x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))),
+
+    so that erfcx(x) = 1/(sqrt(pi) (x + t)).  t = (1/2)/g, with g the
+    fraction from its second level on, is evaluated by modified Lentz and
+    keeps its full relative accuracy, which f - x would lose to
+    cancellation.  From _CF_SHORT on, g = x + 1/x is within 1.5/x^3 of the
+    whole fraction, while the Lentz ratios hover an ulp from 1 and pile up
+    rounding errors before they stop, or never stop.
+    """
     if x >= _CF_SHORT:
-        return x + 0.5 / x
+        return 0.5 / (x + 1.0 / x)
     tiny = 1e-300
-    f = x
+    g = x
     c = x
     d = 0.0
-    for k in range(1, _CF_MAX_ITER):
+    for k in range(2, _CF_MAX_ITER):
         coef = 0.5 * k
         d = x + coef * d
         if d == 0.0:
@@ -77,9 +85,9 @@ def _erfc_cf_denominator(x: float) -> float:
             c = tiny
         d = 1.0 / d
         delta = c * d
-        f *= delta
+        g *= delta
         if abs(delta - 1.0) < 1e-17:
-            return f
+            return 0.5 / g
     raise RuntimeError(f"erfc continued fraction failed to converge at x={x}")
 
 

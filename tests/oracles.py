@@ -3,12 +3,14 @@
 The quadrature oracles deliberately evaluate defining integrals through
 QUADPACK routes that share nothing with the package's own panel/series
 evaluations.  hyf_series_reference is the plain term-by-term series loop,
-kept as the exact reference for specfun.hyf_series, and g1_printed_form is
-the paper's closed form of the g1 coverage as printed.
+kept as the exact reference for specfun.hyf_series, g1_printed_form is
+the paper's closed form of the g1 coverage as printed, and
+g1_tail_identity_mp is the package's g1 tail identity at 50 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -74,3 +76,20 @@ def g1_printed_form(lam, c1, c2, c_hat):
                      / (2.0 * (1.0 + c1) ** 1.5))
         raw += prefactor * tail_factor
     return raw
+
+
+def g1_tail_identity_mp(lam, c, relief):
+    """E[exp(-pi lam (1+x)(c (1+x) - relief))] by the tail identity over
+    x >= 0 with mpmath's erfc at 50 digits, at the exact values of the
+    float inputs.  The exponent pi lam (c - relief) of the leading factor
+    is taken as double arithmetic rounds it: that rounding moves the result
+    by up to about 3e-16 times the exponent, which the condition of exp
+    sets and no evaluation of the identity can remove, so the oracle leaves
+    it out and compares the rest."""
+    with mpmath.workdps(50):
+        exponent = mpmath.mpf(math.pi * lam * (c - relief))
+        lam, c, relief = (mpmath.mpf(v) for v in (lam, c, relief))
+        m = (c - relief / 2) / mpmath.sqrt(1 + c)
+        z = mpmath.sqrt(mpmath.pi * lam) * m
+        q = mpmath.pi * mpmath.sqrt(lam) * m * mpmath.exp(z * z) * mpmath.erfc(z)
+        return float(mpmath.exp(-exponent) * (1 - q) / (1 + c))

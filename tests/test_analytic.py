@@ -34,7 +34,7 @@ from densecov.analytic import (
 )
 from densecov.model import NetworkConfig, PathlossModel, derived_constants
 
-from oracles import hyf_series_reference, serving_distance_expectation
+from oracles import g1_tail_identity_mp, hyf_series_reference, serving_distance_expectation
 
 A4T10 = dict(alpha=4.0, tau=10.0)
 
@@ -237,6 +237,20 @@ class TestCpG1:
                 assert abs(closed - quad) <= 1e-300, (lam, closed, quad)
             else:
                 assert abs(closed - quad) <= 1e-12 * quad, (lam, closed, quad)
+
+    @pytest.mark.parametrize("alpha", [2.01, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("tau", [0.1, 10.0, 1e3])
+    def test_identity_matches_mpmath_erfc(self, alpha, tau):
+        # 1 - q nears 1/(2 z^2) as z grows, and forming it from q lost up to
+        # 7e-13 relative (5.2e-13 at alpha=2.01, tau=10, lam=0.0702); the
+        # tolerance was fixed before the first run
+        dc = derived_constants(alpha, tau)
+        for lam in np.geomspace(1e-6, 10.0, 60).tolist() + [0.0702]:
+            ref = g1_tail_identity_mp(lam, dc.c1, dc.c2)
+            if ref < 1e-300:  # a subnormal result keeps too few digits
+                continue
+            value = cp_g1_closed(NetworkConfig(lam, alpha, tau)).raw
+            assert abs(value - ref) <= 1e-14 * ref, (lam, value, ref)
 
     def test_low_density_limit_and_root_lambda_rate(self):
         limit = cp_upm(cfg_at(1.0)).value

@@ -204,14 +204,16 @@ class TestCpSweep:
         assert row["cp_mc_mean"] != "" and row["cp_mc_stderr"] != ""
 
     def test_byte_stable_output(self, capsys, tmp_path):
-        argv = ["cp-sweep", "--points", "5", "--trials", "200", "--lambda-min", "0.05",
-                "--lambda-max", "0.5"]
-        rc1, out1 = run_cli(capsys, *argv)
-        rc2, out2 = run_cli(capsys, *argv)
-        assert rc1 == rc2 == 0 and out1 == out2
-        dest = tmp_path / "sweep.csv"
-        assert main(argv + ["--output", str(dest)]) == 0
-        assert dest.read_text() == out1
+        # validate's rows carry the expected_hits and informative columns
+        for argv in (["cp-sweep", "--points", "5", "--trials", "200", "--lambda-min", "0.05",
+                      "--lambda-max", "0.5"],
+                     ["validate", "--model", "g1", "--lambda-grid", "0.3,2"]):
+            rc1, out1 = run_cli(capsys, *argv)
+            rc2, out2 = run_cli(capsys, *argv)
+            assert rc1 == rc2 == 0 and out1 == out2
+            dest = tmp_path / "sweep.csv"
+            assert main(argv + ["--output", str(dest)]) == 0
+            assert dest.read_text() == out1
 
     def test_g2_steep_pathloss_sweeps_without_warnings(self, capsys):
         # x^alpha underflows near the origin; y = inf there is the right limit
@@ -346,6 +348,40 @@ class TestValidate:
         rows = parse_rows(out)
         assert {r["model_analytic"] for r in rows} == {"upm", "g1", "g2"}
         assert all(r["within_3se"] == "1" for r in rows)
+        assert all(r["informative"] == "1" for r in rows)
+        assert "# note:" not in out
+
+    def test_rows_without_power_are_noted(self, capsys):
+        # g1 coverage at 2 BS/m^2 is 2.6e-8: 10 000 trials expect 0.00026 hits
+        rc, out = run_cli(capsys, "validate", "--model", "g1", "--lambda-grid", "0.001,2",
+                          "--trials", "10000")
+        assert rc == 0
+        rows = parse_rows(out)
+        assert [r["informative"] for r in rows] == ["1", "0"]
+        assert float(rows[0]["expected_hits"]) == pytest.approx(
+            10_000 * float(rows[0]["cp_analytic"]), rel=1e-11)
+        notes = [ln for ln in out.splitlines() if ln.startswith("# note:")]
+        assert len(notes) == 1 and notes[0].endswith(": g1@2")
+
+    def test_a_run_without_power_exits_2(self, capsys):
+        # past the ASE peak the g1 and g2 curves differ, but the analytic g1
+        # coverage (2.6e-5, 2.6e-8, 6.4e-31) expects under one covered trial
+        # in 10 000 on every row, so a mismatch cannot show
+        rc = main(["validate", "--model", "g1", "--mc-model", "g2",
+                   "--lambda-grid", "1,2,10", "--trials", "10000"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        rows = parse_rows(captured.out)
+        assert [r["informative"] for r in rows] == ["0", "0", "0"]
+        assert "g1@1 g1@2 g1@10" in captured.out
+        assert captured.err.count("\n") == 1
+        # the message names the least trial count that informs the best row
+        needed = int(captured.err.split("--trials ")[1].split()[0])
+        cp = float(rows[0]["cp_analytic"])
+        assert needed * cp >= 10 > (needed - 1) * cp
+        # 2.6e-8 needs 3.9e8 trials, which the trial cap refuses
+        assert main(["validate", "--model", "g1", "--lambda-grid", "2"]) == cli.EXIT_USAGE
+        assert "above the cap of 100,000,000" in capsys.readouterr().err
 
     def test_mc_model_override_requires_explicit_model(self, capsys):
         assert main(["validate", "--mc-model", "g2"]) == cli.EXIT_USAGE

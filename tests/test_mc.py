@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from densecov import analytic, mc
 from densecov.mc import (
@@ -130,9 +131,9 @@ class TestSampleNetwork:
         # -expm1(-576) rounds to 1, so the truncated draw is bit-equal to
         # inverting the plain exponential CDF at the same uniforms
         s_max = mc.WINDOW_K**2
-        s0, _ = next(mc._radial_chunks(block_generator(42, 0), s_max))
+        s0, _ = next(mc._rings(block_generator(42, 0), s_max))
         u = block_generator(42, 0).random(B)
-        assert np.array_equal(s0[:, 0], -np.log1p(-u))
+        assert np.array_equal(s0, -np.log1p(-u))
 
     def test_realization_invariants_enforced(self):
         for distances, fading in [
@@ -148,23 +149,77 @@ class TestSampleNetwork:
     @pytest.mark.parametrize("radius_of", [
         pytest.param(window_radius, id="default-window"),
         pytest.param(lambda lam: math.sqrt(2.0 / (math.pi * lam)), id="two-station-window"),
+        # ends 27.5 units into the second ring
+        pytest.param(lambda lam: math.sqrt(100.0 / (math.pi * lam)), id="mid-ring-window"),
     ])
     def test_rows_are_the_kernel_distances(self, radius_of):
         # each realization is its row of sqrt(s / (pi lam)), the expression
-        # the coverage kernel evaluates, cut at the row's station count
+        # the coverage kernel evaluates, over the stations inside the
+        # window, sorted, the serving station first
         lam = 0.3
         params = SimParams(window_radius=radius_of(lam), trials=1, seed=42)
         a = math.pi * lam
         s_max = a * params.window_radius**2
-        s, h = (np.concatenate(x, axis=1) for x in zip(
-            *mc._radial_chunks(block_generator(42, 0), s_max)))
+        rings = mc._rings(block_generator(42, 0), s_max)
+        s0, h0 = next(rings)
+        per_row = [([s0[row]], [h0[row]]) for row in range(B)]
+        for counts, s, h, _ in rings:
+            for row, (s_row, h_row) in enumerate(zip(np.split(s, np.cumsum(counts)[:-1]),
+                                                     np.split(h, np.cumsum(counts)[:-1]))):
+                per_row[row][0].extend(s_row[s_row <= s_max])
+                per_row[row][1].extend(h_row[s_row <= s_max])
         rows = sample_block(NetworkConfig(lam, 4.0, 10.0), params, 0)
         assert len(rows) == B
-        for row, r in enumerate(rows):
-            n = r.distances.size
-            assert n == 1 + np.count_nonzero(s[row, 1:] <= s_max)
-            assert np.array_equal(r.distances, np.sqrt(s[row, :n] / a))
-            assert np.array_equal(r.fading, h[row, :n])
+        for r, (s_row, h_row) in zip(rows, per_row):
+            order = np.argsort(s_row, kind="stable")
+            assert order[0] == 0
+            assert np.array_equal(r.distances, np.sqrt(np.array(s_row)[order] / a))
+            assert np.array_equal(r.fading, np.array(h_row)[order])
+
+
+class TestRingStream:
+    """The law of the ring construction: given the serving station at s0 in
+    the scale pi lam d^2, the rest of a window of scale s_max is a unit-rate
+    Poisson process on (s0, s_max]."""
+
+    @pytest.mark.parametrize("s_max", [
+        pytest.param(70.0, id="inside-first-ring"),
+        pytest.param(mc.WINDOW_K**2, id="default-window"),
+    ])
+    def test_station_counts_are_one_plus_poisson_past_the_serving_station(self, s_max):
+        # randomized probability integral transform: given s0, the count n
+        # maps to F(n - 2) + V p(n - 1) under Poisson(s_max - s0), which is
+        # uniform exactly when n - 1 follows that law
+        lam = 1.0
+        params = SimParams(window_radius=math.sqrt(s_max / math.pi), trials=1, seed=5)
+        rs = list(realizations(NetworkConfig(lam, 4.0, 10.0), params, 0, 40 * B))
+        n = np.array([r.distances.size for r in rs]) - 1
+        mean = s_max - math.pi * lam * np.array([r.distances[0]**2 for r in rs])
+        v = np.random.default_rng(0).random(n.size)
+        pit = stats.poisson.cdf(n - 1, mean) + v * stats.poisson.pmf(n, mean)
+        assert stats.kstest(pit, "uniform").pvalue > 1e-3
+
+    def test_positions_are_uniform_within_a_ring(self):
+        # ring 0 runs from each row's serving station to W, ring 1 is full
+        rel = {0: [], 1: []}
+        for block in range(4):
+            rings = mc._rings(block_generator(9, block), mc.WINDOW_K**2)
+            s0, _ = next(rings)
+            for k in (0, 1):
+                counts, s, _, edge = next(rings)
+                start = np.repeat(np.maximum(s0, edge - mc._RING), counts)
+                rel[k].append((s - start) / (edge - start))
+        for k, u in rel.items():
+            u = np.concatenate(u)
+            assert u.min() >= 0.0 and u.max() < 1.0
+            assert stats.kstest(u, "uniform").pvalue > 1e-3, k
+
+    def test_default_window_ends_inside_its_last_ring(self):
+        # WINDOW_K^2 rounds either side of 576 with the density: both round
+        # into the eighth ring, which ends 4 units further out
+        for lam in (1e-3, 0.3, 0.5, 1.0, 2.0, 10.0):
+            s_max = math.pi * lam * window_radius(lam)**2
+            assert 7 * mc._RING < s_max < 8 * mc._RING - 3.9, lam
 
 
 class TestSirSample:
@@ -233,12 +288,12 @@ class TestEstimates:
     def test_fast_path_parity_with_public_sampling(self, model, lam, tau):
         # the coverage kernel skips Realization objects; its
         # per-trial indicator must match the public sample/SIR route draw
-        # for draw.  In the default window the slots it masks beyond the
-        # edge carry little power; in a sparse window holding about two
-        # stations they would carry most of it.  A window holding about 128
-        # stations ends before the first chunk's last column in some rows
-        # and after it in others, so that chunk needs its mask as soon as
-        # any row, not only every row, passes the edge.
+        # for draw.  In the default window the positions it masks beyond
+        # the edge, 4 units before its last ring's end, carry little power;
+        # in a sparse window holding about two stations, where 70 of the
+        # first ring's 72.5 units lie outside, they would carry most of it.
+        # A window holding about 128 stations ends in the middle of the
+        # second ring.
         cfg = NetworkConfig(lam, 4.0, tau)
         for radius in (window_radius(lam), math.sqrt(2.0 / (math.pi * lam)),
                        math.sqrt(128.0 / (math.pi * lam))):

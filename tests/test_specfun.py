@@ -60,6 +60,16 @@ class TestErfc:
                 ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
                 assert abs(erfcx(x) - ref) <= 1e-15 * ref, x
 
+    def test_fraction_tail_against_mpmath_to_1e14(self):
+        # t = f - x of the fraction, which the g1 coverage reads as 1 - q =
+        # t/(x + t); forming it as f - x would lose about 2 x^2 ulps
+        xs = np.concatenate([np.linspace(2.0, 6.0, 401), np.geomspace(6.0, 1e9, 800)])
+        with mpmath.workdps(40):
+            for x in xs.tolist():
+                ref = 1 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(mpmath.mpf(x) ** 2)
+                           * mpmath.erfc(x)) - x
+                assert abs(specfun.erfc_cf_tail(x) - ref) <= 1e-14 * ref, x
+
     def test_erfcx_matches_definition_and_survives_large_arguments(self):
         for x in [0.0, 0.5, 1.5, 3.0, 8.0]:
             assert erfcx(x) == pytest.approx(math.exp(x * x) * math.erfc(x), rel=1e-12)
