@@ -75,10 +75,9 @@ class CpValue:
 
 @dataclass(frozen=True)
 class AseValue:
-    """Area spectral efficiency in bits/(s*Hz*m^2) at a given density."""
+    """Area spectral efficiency in bits/(s*Hz*m^2)."""
 
     value: float
-    lambda_bs: float
 
 
 def _cp(raw: float, method: str) -> CpValue:
@@ -314,7 +313,7 @@ def ase(cfg: NetworkConfig, cp: CpValue) -> AseValue:
     """Throughput density lam * CP * log2(1 + tau)."""
     if not 0.0 <= cp.value <= 1.0:
         raise ValueError(f"coverage must lie in [0, 1], got {cp.value}")
-    return AseValue(cfg.lambda_bs * cp.value * math.log2(1.0 + cfg.tau), cfg.lambda_bs)
+    return AseValue(cfg.lambda_bs * cp.value * math.log2(1.0 + cfg.tau))
 
 
 def ase_upper(cfg: NetworkConfig) -> AseValue:
@@ -401,12 +400,9 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
     """Golden-section argmax of the exact throughput density for a model.
 
     With the unbounded law the objective is linear in density, so the search
-    reports a bracket failure rather than an argmax.
+    reports a bracket failure rather than an argmax.  min(1, d^-alpha) has no
+    analytic curve, so its first evaluation raises UnsupportedPathlossError.
     """
-    if model is PathlossModel.MIN_BOUNDED:
-        raise UnsupportedPathlossError(
-            "min(1, d^-alpha) has no analytic throughput curve to maximize"
-        )
 
     def objective(lam: float) -> float:
         cfg = dataclasses.replace(cfg_template, lambda_bs=lam)

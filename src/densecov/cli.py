@@ -3,6 +3,12 @@ simulator-vs-formula validation.  All output is CSV (stdout or a file).
 
 Exit codes: 0 success, 1 validation disagreement, 2 usage error (also a
 validation without an informative row), 3 numerical failure.
+
+Each refusal has one path.  A flag's own range is its argparse type, so a
+bad value prints argparse's usage and an ``error:`` line naming the token.
+A command checks only what relates two flags.  ``main`` maps the library's
+UnsupportedPathlossError to exit 2 and its arithmetic and runtime failures
+to exit 3, each on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -85,25 +91,54 @@ def _write(lines, path: str):
             fh.write(text)
 
 
+def _ranged(convert, ok, rule: str):
+    """An argparse type: convert the text and keep the value only where ok
+    holds.  Each ok is phrased so that NaN fails it; a refusal names the
+    token, since argparse would otherwise name this function."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return parse
+
+
+_alpha = _ranged(float, lambda a: 2.0 < a < math.inf, "a finite number above 2")
+# keeps 10^(dB/10) a positive, finite float
+_decibels = _ranged(float, lambda db: abs(db) <= MAX_ABS_DB,
+                    f"a finite level in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB")
+_density = _ranged(float, lambda lam: 0.0 < lam < math.inf, "a positive, finite density")
+_points = _ranged(int, lambda n: 1 <= n <= MAX_POINTS, f"an integer in [1, {MAX_POINTS}]")
+_trials = _ranged(int, lambda n: 0 <= n <= MAX_TRIALS, f"an integer in [0, {MAX_TRIALS}]")
+_seed = _ranged(int, lambda n: 0 <= n < 2**64, "an integer in [0, 2^64)")
+
+
+def _densities(text: str) -> tuple[float, ...]:
+    return tuple(_density(tok) for tok in text.split(","))
+
+
 def _common_flags(p: argparse.ArgumentParser, density_range: bool = True,
                   points: bool = True, simulate: bool = True,
                   model_choices: tuple = ("upm", "g1", "g2", "minb"),
                   model_default: str = "g1"):
-    p.add_argument("--alpha", type=float, default=4.0, help="pathloss exponent (> 2)")
-    p.add_argument("--tau-db", type=float, default=10.0, help="SIR threshold in dB")
-    p.add_argument("--p-bs", type=float, default=20.0,
+    p.add_argument("--alpha", type=_alpha, default=4.0, help="pathloss exponent (> 2)")
+    p.add_argument("--tau-db", type=_decibels, default=10.0, help="SIR threshold in dB")
+    p.add_argument("--p-bs", type=_decibels, default=20.0,
                    help="transmit power in dBmW (cancels in every result; kept testable)")
     p.add_argument("--model", default=model_default, choices=list(model_choices))
     if density_range:
-        p.add_argument("--lambda-min", type=float, default=1e-6, help="BS/m^2")
-        p.add_argument("--lambda-max", type=float, default=10.0, help="BS/m^2")
+        p.add_argument("--lambda-min", type=_density, default=1e-6, help="BS/m^2")
+        p.add_argument("--lambda-max", type=_density, default=10.0, help="BS/m^2")
     if points:
-        p.add_argument("--points", type=int, default=40,
+        p.add_argument("--points", type=_points, default=40,
                        help=f"log-spaced density points (1 to {MAX_POINTS:,})")
     if simulate:
-        p.add_argument("--trials", type=int, default=0,
+        p.add_argument("--trials", type=_trials, default=0,
                        help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--output", default="stdout", help="CSV destination path or 'stdout'")
 
 
@@ -116,13 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cp = sub.add_parser("cp-sweep", help="coverage probability over a density grid")
     _common_flags(p_cp)
+    p_cp.set_defaults(run=cmd_sweep)
 
     p_ase = sub.add_parser("ase-sweep", help="area spectral efficiency over a density grid")
     _common_flags(p_ase)
+    p_ase.set_defaults(run=cmd_sweep)
 
     p_opt = sub.add_parser("optimal-density", help="ASE-maximizing density report")
     # analytic only: the search sets its own densities and draws nothing
     _common_flags(p_opt, points=False, simulate=False)
+    p_opt.set_defaults(run=cmd_optimal_density)
 
     p_val = sub.add_parser("validate", help="Monte Carlo vs analytic comparison grid")
     # by default the comparison covers every model with an analytic curve
@@ -131,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                   model_default="all")
     p_val.add_argument("--mc-model", default=None, choices=["upm", "g1", "g2", "minb"],
                        help="simulate a different model than the analytic one")
-    p_val.add_argument("--lambda-grid", default=None,
+    p_val.add_argument("--lambda-grid", type=_densities, default=None,
                        help="comma-separated densities; default grid per model")
-    p_val.set_defaults(trials=VALIDATE_MIN_TRIALS)
+    p_val.set_defaults(trials=VALIDATE_MIN_TRIALS, run=cmd_validate)
     return parser
 
 
@@ -142,41 +180,12 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _check_common(args) -> str | None:
-    """Check the flags of _common_flags that this command has."""
-    has = vars(args)
-    for name in ("alpha", "tau_db", "p_bs", "lambda_min", "lambda_max"):
-        if name in has and not math.isfinite(has[name]):
-            return f"--{name.replace('_', '-')} must be finite"
-    if not args.alpha > 2.0:
-        return "--alpha must exceed 2"
-    # keeps 10^(dB/10) a positive, finite float
-    if abs(args.tau_db) > MAX_ABS_DB:
-        return f"--tau-db must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
-    if abs(args.p_bs) > MAX_ABS_DB:
-        return f"--p-bs must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
-    if "lambda_min" in has:
-        if not args.lambda_min > 0.0:
-            return "--lambda-min must be positive"
-        if args.lambda_max < args.lambda_min:
-            return "--lambda-max must be >= --lambda-min"
-    if "points" in has and not 1 <= args.points <= MAX_POINTS:
-        return f"--points must lie in [1, {MAX_POINTS}]"
-    if "trials" in has and not 0 <= args.trials <= MAX_TRIALS:
-        return f"--trials must lie in [0, {MAX_TRIALS}]"
-    if "seed" in has and not 0 <= args.seed < 2**64:
-        return "--seed must lie in [0, 2^64)"
-    return None
-
-
 def _check_mc_work(trials: int, lams) -> str | None:
     """Refuse Monte Carlo work per density above that of MAX_TRIALS trials at
     the default window; at its 1 m floor a trial draws about pi lam stations."""
     cap = MAX_TRIALS * mc.WINDOW_K**2
-    drawn = -(-trials // mc._BLOCK_TRIALS) * mc._BLOCK_TRIALS
     for lam in lams:
-        # pi lam R^2 by the window rule, free of the rounding in R
-        stations = drawn * max(mc.WINDOW_K**2, math.pi * float(lam) * mc.MIN_WINDOW_RADIUS**2)
+        stations = mc.stations_drawn(trials, lam)
         if stations > cap:
             return (f"--trials {trials} at {lam:g} BS/m^2 would draw {stations:.3g} "
                     f"stations, above the cap of {cap:.3g}")
@@ -189,10 +198,10 @@ def _grid(args) -> np.ndarray:
     return np.geomspace(args.lambda_min, args.lambda_max, args.points)
 
 
-def _header_lines(args, command: str) -> list[str]:
+def _header_lines(args) -> list[str]:
     assumed = ", ".join("%g" % v for v in ASSUMED_TAU_DB)
     return [
-        f"# densecov {command}: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
+        f"# densecov {args.command}: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
         f"p_bs_dbm={_fmt(args.p_bs)} model={args.model} seed={args.seed} "
         f"trials={args.trials} window_k={_fmt(mc.WINDOW_K)} rel_tol={_fmt(analytic._REL_TOL)}",
         f"# reference curves assume SIR thresholds of {{{assumed}}} dB; "
@@ -214,10 +223,10 @@ def _analytic_cp(cfg, model):
     return cp, None, None
 
 
-def _run_sweep(args, with_ase: bool) -> int:
-    problem = _check_common(args)
-    if problem:
-        return _usage_error(problem)
+def cmd_sweep(args) -> int:
+    with_ase = args.command == "ase-sweep"
+    if args.lambda_max < args.lambda_min:
+        return _usage_error("--lambda-max must be >= --lambda-min")
     grid = _grid(args)
     if problem := _check_mc_work(args.trials, grid):
         return _usage_error(problem)
@@ -252,27 +261,14 @@ def _run_sweep(args, with_ase: bool) -> int:
                 scale = lam * math.log2(1.0 + tau)
                 row.ase_mc_mean = scale * est.mean
         rows.append(row)
-    lines = _header_lines(args, "ase-sweep" if with_ase else "cp-sweep")
+    lines = _header_lines(args)
     lines += [",".join(_fmt(getattr(r, c)) for c in SWEEP_COLUMNS) for r in rows]
     _write(lines, args.output)
     return EXIT_OK
 
 
-def cmd_cp_sweep(args) -> int:
-    return _run_sweep(args, with_ase=False)
-
-
-def cmd_ase_sweep(args) -> int:
-    return _run_sweep(args, with_ase=True)
-
-
 def cmd_optimal_density(args) -> int:
-    problem = _check_common(args)
-    if problem:
-        return _usage_error(problem)
     model = PathlossModel.from_tag(args.model)
-    if model is PathlossModel.MIN_BOUNDED:
-        return _usage_error("--model minb has no analytic ASE curve to maximize")
     # a search needs an interval; sweeps accept a single density
     if not args.lambda_max > args.lambda_min:
         return _usage_error("--lambda-max must exceed --lambda-min for optimal-density")
@@ -301,9 +297,6 @@ def cmd_optimal_density(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    problem = _check_common(args)
-    if problem:
-        return _usage_error(problem)
     if args.trials < VALIDATE_MIN_TRIALS:
         return _usage_error(f"--trials must be >= {VALIDATE_MIN_TRIALS} for validation")
     if args.model == "all":
@@ -313,22 +306,14 @@ def cmd_validate(args) -> int:
             return _usage_error("--mc-model needs an explicit --model on the analytic side")
     else:
         analytic_models = [PathlossModel.from_tag(args.model)]
+        # here, before the default grid lookup below, which has no minb entry
         if analytic_models[0] is PathlossModel.MIN_BOUNDED:
             return _usage_error("--model minb has no analytic coverage to validate against")
     tau = db_to_linear(args.tau_db)
     p_bs = db_to_linear(args.p_bs)
 
-    if args.lambda_grid is not None:
-        try:
-            explicit_lams = tuple(float(tok) for tok in args.lambda_grid.split(","))
-        except ValueError:
-            return _usage_error("--lambda-grid must be comma-separated numbers")
-        if not all(0.0 < l < math.inf for l in explicit_lams):
-            return _usage_error("--lambda-grid densities must be positive and finite")
-        if problem := _check_mc_work(args.trials, explicit_lams):
-            return _usage_error(problem)
-    else:
-        explicit_lams = None
+    if problem := _check_mc_work(args.trials, args.lambda_grid or ()):
+        return _usage_error(problem)
 
     lines = [
         f"# densecov validate: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
@@ -344,8 +329,7 @@ def cmd_validate(args) -> int:
     for analytic_model in analytic_models:
         mc_model = analytic_model if args.mc_model is None \
             else PathlossModel.from_tag(args.mc_model)
-        lams = explicit_lams if explicit_lams is not None \
-            else _DEFAULT_VALIDATE_GRID[analytic_model]
+        lams = args.lambda_grid or _DEFAULT_VALIDATE_GRID[analytic_model]
         for lam in lams:
             cfg = NetworkConfig(lam, args.alpha, tau, p_bs)
             cp = analytic.cp_for_model(cfg, analytic_model)
@@ -388,19 +372,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_ok else EXIT_DISAGREEMENT
 
 
-_COMMANDS = {
-    "cp-sweep": cmd_cp_sweep,
-    "ase-sweep": cmd_ase_sweep,
-    "optimal-density": cmd_optimal_density,
-    "validate": cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
+    except analytic.UnsupportedPathlossError as exc:
+        # a model without the analytic curve the command needs
+        return _usage_error(f"--model {args.model}: {exc}")
     except (ArithmeticError, RuntimeError) as exc:
         # quadrature, bracket and series failures; nothing has been written,
         # since every command writes its CSV only after the last row

@@ -35,6 +35,7 @@ Consequences the tests rely on:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,15 @@ def window_radius(lambda_bs: float) -> float:
     return max(MIN_WINDOW_RADIUS, WINDOW_K / math.sqrt(math.pi * lambda_bs))
 
 
+def stations_drawn(trials: int, lambda_bs: float) -> float:
+    """Mean count of stations that estimate_cp draws for trials at density
+    lambda_bs in the default window: whole blocks, each trial about
+    max(WINDOW_K^2, pi lam MIN_WINDOW_RADIUS^2), the window rule's pi lam R^2
+    free of the rounding in R."""
+    drawn = -(-trials // _BLOCK_TRIALS) * _BLOCK_TRIALS
+    return drawn * max(WINDOW_K**2, math.pi * float(lambda_bs) * MIN_WINDOW_RADIUS**2)
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Simulation controls: window radius in meters, trial count, base seed."""
@@ -73,6 +83,10 @@ class SimParams:
     seed: int
 
     def __post_init__(self):
+        # numpy integers would make every estimate a numpy scalar; a float
+        # is refused here rather than deep inside the stream setup
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         # an infinite window would never stop drawing stations
         if not 0.0 < self.window_radius < math.inf:
             raise ValueError(f"window_radius must be positive and finite, "
@@ -256,11 +270,10 @@ def sir_sample(realization: Realization, model: PathlossModel, alpha: float) -> 
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Estimate with its Bernoulli-based standard error and 95% interval."""
+    """Estimate with its Bernoulli-based standard error."""
 
     mean: float
     stderr: float
-    ci95: tuple[float, float]
     trials: int
 
 
@@ -287,7 +300,5 @@ def estimate_cp(cfg: NetworkConfig, model: PathlossModel,
         covered += int(np.count_nonzero(hits[:n - block * _BLOCK_TRIALS]))
     mean = covered / n
     stderr = math.sqrt(mean * (1.0 - mean) / n)
-    lo = max(0.0, mean - 1.96 * stderr)
-    hi = min(1.0, mean + 1.96 * stderr)
-    return SimEstimate(mean, stderr, (lo, hi), n)
+    return SimEstimate(mean, stderr, n)
 

@@ -125,14 +125,41 @@ class TestFlagValidation:
         # an --output that cannot be written
         ["cp-sweep", "--points", "1", "--output", "/nonexistent/densecov/x.csv"],
         ["validate", "--model", "g1", "--lambda-grid", "0.3", "--output", "/"],
+        ["validate", "--lambda-grid", ""],
+        ["validate", "--lambda-grid", "0.3,"],
+        ["cp-sweep", "--tau-db", "nan"],
+        ["cp-sweep", "--lambda-min", "nan"],
+        ["validate", "--model", "minb", "--lambda-grid", "0.3"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
-        # argparse refuses an unknown flag by raising SystemExit itself
+        # argparse refuses a bad flag by printing usage and raising SystemExit
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
         assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "error:" in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv,token", [
+        (["validate", "--lambda-grid", "1,apple"], "'apple'"),
+        (["cp-sweep", "--points", "0"], "'0'"),
+        (["cp-sweep", "--alpha", "nan"], "'nan'"),
+    ])
+    def test_flag_errors_name_the_flag_and_token(self, capsys, argv, token):
+        with pytest.raises(SystemExit):
+            main(argv)
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"densecov {argv[0]}: error: argument {argv[1]}: {token} ")
+
+    def test_model_without_analytic_curve_is_one_error_line(self, capsys):
+        assert main(["optimal-density", "--model", "minb"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --model minb: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,needle", [
         pytest.param(argv, needle, id=f"argv{i}")

@@ -57,6 +57,26 @@ class TestParams:
         with pytest.raises(ValueError):
             SimParams(**kwargs)
 
+    def test_counts_are_stored_as_ints(self):
+        # the counterpart of NetworkConfig storing its numbers as floats
+        params = SimParams(window_radius(0.3), np.int64(500), np.uint64(42))
+        assert params == params_for(0.3, 500)
+        assert type(params.trials) is int and type(params.seed) is int
+        est = estimate_cp(CFG, PathlossModel.BOUNDED_G1, params)
+        assert est == estimate_cp(CFG, PathlossModel.BOUNDED_G1, params_for(0.3, 500))
+        assert type(est.mean) is float and type(est.trials) is int
+        for trials, seed in ((2.5, 1), (10, 1.5), (np.float64(10.0), 1)):
+            with pytest.raises(TypeError):
+                SimParams(1.0, trials, seed)
+
+    def test_stations_drawn_counts_whole_blocks(self):
+        assert mc.stations_drawn(0, 1.0) == 0.0
+        # a sparse window holds WINDOW_K^2 stations; one trial draws a block
+        assert mc.stations_drawn(1, 1e-3) == B * mc.WINDOW_K**2
+        assert mc.stations_drawn(B + 1, 1e-3) == 2 * B * mc.WINDOW_K**2
+        # past the 1 m window floor a trial draws about pi lam stations
+        assert mc.stations_drawn(B, 1e4) == pytest.approx(B * math.pi * 1e4, rel=1e-15)
+
 
 class TestBlockStream:
     @pytest.mark.parametrize("seed, block", [(0, 0), (42, 3), (2**64 - 1, 9)])
