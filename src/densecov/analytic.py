@@ -359,24 +359,11 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
     grid = np.geomspace(lo, hi, _SCAN_POINTS)
-    vals = [fn(g) for g in grid]
-    imax = int(np.argmax(vals))
-    if imax in (0, _SCAN_POINTS - 1):
-        # probe just inside the edge before declaring the bracket bad
-        if imax == 0:
-            probe = grid[0] * (grid[1] / grid[0]) ** 0.1
-            if not fn(probe) > vals[0]:
-                raise BracketError("objective is decreasing on the bracket; "
-                                   "maximum at the lower edge")
-            u_lo, u_hi = math.log(grid[0]), math.log(grid[1])
-        else:
-            probe = grid[-1] / (grid[-1] / grid[-2]) ** 0.1
-            if not fn(probe) > vals[-1]:
-                raise BracketError("objective is increasing on the bracket; "
-                                   "maximum at the upper edge")
-            u_lo, u_hi = math.log(grid[-2]), math.log(grid[-1])
-    else:
-        u_lo, u_hi = math.log(grid[imax - 1]), math.log(grid[imax + 1])
+    imax = int(np.argmax([fn(g) for g in grid]))
+    # the scan's best point and its neighbours, clipped to the bracket
+    edge_lo = math.log(grid[max(imax - 1, 0)])
+    edge_hi = math.log(grid[min(imax + 1, _SCAN_POINTS - 1)])
+    u_lo, u_hi = edge_lo, edge_hi
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     u1 = u_hi - invphi * (u_hi - u_lo)
@@ -392,6 +379,14 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float
             u_hi, u2, f2 = u2, u1, f1
             u1 = u_hi - invphi * (u_hi - u_lo)
             f1 = fn(math.exp(u1))
+    # a scan peak on a bracket edge that the search never left is the
+    # maximum of a monotone objective, not an interior one
+    if imax == 0 and u_lo == edge_lo:
+        raise BracketError("objective is decreasing on the bracket; "
+                           "maximum at the lower edge")
+    if imax == _SCAN_POINTS - 1 and u_hi == edge_hi:
+        raise BracketError("objective is increasing on the bracket; "
+                           "maximum at the upper edge")
     return math.exp(0.5 * (u_lo + u_hi))
 
 
@@ -499,6 +494,6 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
         ok = lower_ratio > 0.0 and 0.0 < q2q1 <= q_max \
             and abs(upper_ratio - big_m) <= 1e-12 * big_m
         points.append(ScalingPoint(lam, lower_ratio, upper_ratio, q2q1, in_tail, ok))
-    tail_ratios = [p.lower_ratio for p in points if p.in_tail]
-    m = min(tail_ratios) if tail_ratios else min(p.lower_ratio for p in points)
+    # the last point is in the tail: the grid reaches 10 lam0
+    m = min(p.lower_ratio for p in points if p.in_tail)
     return ScalingReport(tuple(points), lam0, m, big_m, all(p.ok for p in points))

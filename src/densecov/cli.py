@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -124,10 +125,12 @@ def _common_flags(p: argparse.ArgumentParser, density_range: bool = True,
                   points: bool = True, simulate: bool = True,
                   model_choices: tuple = ("upm", "g1", "g2", "minb"),
                   model_default: str = "g1"):
+    # argparse reads a token starting with "-" as a flag unless it matches
+    # this pattern; its own, ^-\d+$|^-\d*\.\d+$, misses -1e1 and -5.  No
+    # flag here starts with a digit, so every such token is a value
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--alpha", type=_alpha, default=4.0, help="pathloss exponent (> 2)")
     p.add_argument("--tau-db", type=_decibels, default=10.0, help="SIR threshold in dB")
-    p.add_argument("--p-bs", type=_decibels, default=20.0,
-                   help="transmit power in dBmW (cancels in every result; kept testable)")
     p.add_argument("--model", default=model_default, choices=list(model_choices))
     if density_range:
         p.add_argument("--lambda-min", type=_density, default=1e-6, help="BS/m^2")
@@ -192,17 +195,11 @@ def _check_mc_work(trials: int, lams) -> str | None:
     return None
 
 
-def _grid(args) -> np.ndarray:
-    if args.points == 1:
-        return np.array([args.lambda_min])
-    return np.geomspace(args.lambda_min, args.lambda_max, args.points)
-
-
 def _header_lines(args) -> list[str]:
     assumed = ", ".join("%g" % v for v in ASSUMED_TAU_DB)
     return [
         f"# densecov {args.command}: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
-        f"p_bs_dbm={_fmt(args.p_bs)} model={args.model} seed={args.seed} "
+        f"model={args.model} seed={args.seed} "
         f"trials={args.trials} window_k={_fmt(mc.WINDOW_K)} rel_tol={_fmt(analytic._REL_TOL)}",
         f"# reference curves assume SIR thresholds of {{{assumed}}} dB; "
         f"this run uses tau_db={_fmt(args.tau_db)}",
@@ -227,15 +224,14 @@ def cmd_sweep(args) -> int:
     with_ase = args.command == "ase-sweep"
     if args.lambda_max < args.lambda_min:
         return _usage_error("--lambda-max must be >= --lambda-min")
-    grid = _grid(args)
+    grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
     if problem := _check_mc_work(args.trials, grid):
         return _usage_error(problem)
     model = PathlossModel.from_tag(args.model)
     tau = db_to_linear(args.tau_db)
-    p_bs = db_to_linear(args.p_bs)
     rows = []
     for lam in map(float, grid):
-        cfg = NetworkConfig(lambda_bs=lam, alpha=args.alpha, tau=tau, p_bs=p_bs)
+        cfg = NetworkConfig(lambda_bs=lam, alpha=args.alpha, tau=tau)
         cp, cp_lo, cp_hi = _analytic_cp(cfg, model)
         row = SweepRow(lambda_bs=lam, model=args.model)
         if cp is not None:
@@ -273,14 +269,13 @@ def cmd_optimal_density(args) -> int:
     if not args.lambda_max > args.lambda_min:
         return _usage_error("--lambda-max must exceed --lambda-min for optimal-density")
     tau = db_to_linear(args.tau_db)
-    p_bs = db_to_linear(args.p_bs)
-    template = NetworkConfig(lambda_bs=1.0, alpha=args.alpha, tau=tau, p_bs=p_bs)
+    template = NetworkConfig(lambda_bs=1.0, alpha=args.alpha, tau=tau)
     lam_closed = analytic.optimal_density_closed(args.alpha, tau)
     lam_num = analytic.optimal_density_numeric(
         template, model, bracket=(args.lambda_min, args.lambda_max))
-    cfg_num = NetworkConfig(lam_num, args.alpha, tau, p_bs)
+    cfg_num = NetworkConfig(lam_num, args.alpha, tau)
     ase_num = analytic.ase(cfg_num, analytic.cp_for_model(cfg_num, model)).value
-    cfg_closed = NetworkConfig(lam_closed, args.alpha, tau, p_bs)
+    cfg_closed = NetworkConfig(lam_closed, args.alpha, tau)
     ase_at_closed = analytic.ase(cfg_closed, analytic.cp_for_model(cfg_closed, model)).value
     ase_up_at_closed = analytic.ase_upper(cfg_closed).value
     lines = [
@@ -310,7 +305,6 @@ def cmd_validate(args) -> int:
         if analytic_models[0] is PathlossModel.MIN_BOUNDED:
             return _usage_error("--model minb has no analytic coverage to validate against")
     tau = db_to_linear(args.tau_db)
-    p_bs = db_to_linear(args.p_bs)
 
     if problem := _check_mc_work(args.trials, args.lambda_grid or ()):
         return _usage_error(problem)
@@ -331,7 +325,7 @@ def cmd_validate(args) -> int:
             else PathlossModel.from_tag(args.mc_model)
         lams = args.lambda_grid or _DEFAULT_VALIDATE_GRID[analytic_model]
         for lam in lams:
-            cfg = NetworkConfig(lam, args.alpha, tau, p_bs)
+            cfg = NetworkConfig(lam, args.alpha, tau)
             cp = analytic.cp_for_model(cfg, analytic_model)
             params = mc.SimParams(window_radius=mc.window_radius(lam),
                                   trials=args.trials, seed=args.seed)
@@ -387,7 +381,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         # from _write: a missing directory, a directory, no permission
         return _usage_error(f"cannot write --output {args.output}: {exc.strerror or exc}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -154,6 +154,9 @@ def _rings(rng: np.random.Generator, s_max: float):
     positions on that length.  Whole rings are drawn whatever s_max, so a
     ring's draws do not depend on the window.
     """
+    if not s_max < math.inf:
+        # rings are drawn until one starts past s_max, which would be never
+        raise OverflowError(f"window pi*lambda*R^2 = {s_max:g} overflows")
     s0 = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
     yield s0, rng.standard_exponential(_BLOCK_TRIALS)
     s0_max = s0.max()

@@ -511,13 +511,24 @@ class TestOptimalDensity:
                 < ase(cfg_at_star, cp_for_model(cfg_at_star, model)).value
 
     def test_monotone_objective_raises(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError, match="increasing .* upper edge"):
             golden_section_max(lambda lam: lam, 1e-3, 1.0)
+        with pytest.raises(BracketError, match="decreasing .* lower edge"):
+            golden_section_max(lambda lam: 1.0 / lam, 1e-3, 1.0)
         # near-zero threshold: coverage ~ 1 everywhere, ASE ~ linear
         template = cfg_at(1.0, tau=1e-9)
         with pytest.raises(BracketError):
             optimal_density_numeric(template, PathlossModel.BOUNDED_G1,
                                     bracket=(1e-4, 1e-2))
+
+    @pytest.mark.parametrize("at", [0.3 / 15.0, 14.7 / 15.0], ids=["first", "last"])
+    def test_peak_inside_an_edge_scan_interval(self, at):
+        # the 16-point scan peaks on the bracket edge, yet the maximum is
+        # interior: at 0.3 of the first log-interval, or 0.7 of the last
+        lo, hi = 1e-3, 1.0
+        peak = lo * (hi / lo) ** at
+        num = golden_section_max(lambda lam: -math.log(lam / peak) ** 2, lo, hi)
+        assert abs(num - peak) <= 1e-6 * peak
 
     def test_min_bounded_rejected(self):
         with pytest.raises(UnsupportedPathlossError):

@@ -241,6 +241,31 @@ class TestRingStream:
             s_max = math.pi * lam * window_radius(lam)**2
             assert 7 * mc._RING < s_max < 8 * mc._RING - 3.9, lam
 
+    def test_window_that_overflows_is_refused_before_any_draw(self):
+        # rings are drawn until one starts past the window, never at inf
+        with pytest.raises(OverflowError, match="overflows"):
+            next(mc._rings(block_generator(0, 0), math.inf))
+        huge = NetworkConfig(1e308, 4.0, 10.0)   # pi lam rounds to inf
+        params = SimParams(window_radius(1e308), 1, 0)
+        with pytest.raises(OverflowError):
+            estimate_cp(huge, PathlossModel.BOUNDED_G1, params)
+        with pytest.raises(OverflowError):
+            sample_block(huge, params, 0)
+        with pytest.raises(OverflowError):
+            sample_block(CFG_LAM1, SimParams(1e200, 1, 0), 0)
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param([0, 2, 3], id="leading"),
+        pytest.param([2, 0, 0, 3], id="middle"),
+        pytest.param([2, 3, 0], id="trailing"),
+        pytest.param([0, 0, 0], id="all"),
+    ])
+    def test_row_sums_with_empty_rows(self, counts):
+        counts = np.array(counts)
+        x = np.arange(1.0, counts.sum() + 1.0)
+        rows = np.split(x, np.cumsum(counts)[:-1])
+        assert np.array_equal(mc._row_sums(x, counts), [r.sum() for r in rows])
+
 
 class TestSirSample:
     def test_single_station_is_covered_at_any_threshold(self):
