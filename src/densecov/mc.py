@@ -134,6 +134,23 @@ def block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
+def _window_scale(cfg: NetworkConfig, params: SimParams) -> tuple[float, float]:
+    """pi lam, which maps a distance d to the scale pi lam d^2, and the
+    window's s_max = pi lam R^2; an OverflowError names lam and R where
+    s_max leaves the float range."""
+    a = math.pi * cfg.lambda_bs
+    # a numpy radius would warn, not raise, where its square overflows
+    radius = float(params.window_radius)
+    try:
+        s_max = a * radius**2
+    except OverflowError:  # radius**2 itself
+        s_max = math.inf
+    if not s_max < math.inf:
+        raise OverflowError(f"window pi*lambda*R^2 overflows at lambda={cfg.lambda_bs:g} "
+                            f"BS/m^2, R={radius:g} m")
+    return a, s_max
+
+
 def _rings(rng: np.random.Generator, s_max: float):
     """Yield a block's stations as one row per trial: first the (B,) serving
     stations as (squared-distance scale, fading), then, for every ring
@@ -203,8 +220,7 @@ def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     """Coverage indicator of every trial in one block.  Received powers are
     summed ring by ring, so the working set is one ring; transmit power
     cancels between signal and interference and never enters."""
-    a = math.pi * cfg.lambda_bs
-    s_max = a * params.window_radius**2
+    a, s_max = _window_scale(cfg, params)
     rings = _rings(block_generator(params.seed, block), s_max)
     s0, h0 = next(rings)
     signal = pathloss_gain(model, cfg.alpha, np.sqrt(s0 / a)) * h0
@@ -232,8 +248,7 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     (an exact property of the ring construction).  Each row's stations are
     sorted by distance, their fadings with them.
     """
-    a = math.pi * cfg.lambda_bs
-    s_max = a * params.window_radius**2
+    a, s_max = _window_scale(cfg, params)
     rings = _rings(block_generator(params.seed, block), s_max)
     s0, h0 = next(rings)
     trial = np.arange(_BLOCK_TRIALS)

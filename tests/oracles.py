@@ -4,8 +4,11 @@ The quadrature oracles deliberately evaluate defining integrals through
 QUADPACK routes that share nothing with the package's own panel/series
 evaluations.  hyf_series_reference is the plain term-by-term series loop,
 kept as the exact reference for specfun.hyf_series, g1_printed_form is
-the paper's closed form of the g1 coverage as printed, and
-g1_tail_identity_mp is the package's g1 tail identity at 50 digits.
+the paper's closed form of the g1 coverage as printed,
+g1_tail_identity_mp is the package's g1 tail identity at 50 digits, and
+gauss_legendre_mp is mpmath's Gauss-Legendre rule at 40 digits (the same
+Newton iteration as the package's, so it checks the rounding of the
+double-precision rule).
 """
 
 import math
@@ -93,3 +96,17 @@ def g1_tail_identity_mp(lam, c, relief):
         z = mpmath.sqrt(mpmath.pi * lam) * m
         q = mpmath.pi * mpmath.sqrt(lam) * m * mpmath.exp(z * z) * mpmath.erfc(z)
         return float(mpmath.exp(-exponent) * (1 - q) / (1 + c))
+
+
+def gauss_legendre_mp(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending, rounded to
+    double from mpmath's rule at 40 digits.  mpmath's degree m has
+    3 * 2^(m-1) nodes, so n must be of that form."""
+    m = n.bit_length() - 1
+    if n != 3 * 2 ** (m - 1):
+        raise ValueError(f"mpmath has no {n}-node Gauss-Legendre rule")
+    with mpmath.workdps(40):
+        rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+        nodes = sorted(rule.calc_nodes(m, mpmath.mp.prec))
+        return (np.array([float(x) for x, _ in nodes]),
+                np.array([float(w) for _, w in nodes]))

@@ -251,7 +251,7 @@ class TestRingStream:
             estimate_cp(huge, PathlossModel.BOUNDED_G1, params)
         with pytest.raises(OverflowError):
             sample_block(huge, params, 0)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"lambda=1 BS/m\^2, R=1e\+200 m"):
             sample_block(CFG_LAM1, SimParams(1e200, 1, 0), 0)
 
     @pytest.mark.parametrize("counts", [
