@@ -374,8 +374,9 @@ def main(argv=None) -> int:
         # a model without the analytic curve the command needs
         return _usage_error(f"--model {args.model}: {exc}")
     except (ArithmeticError, RuntimeError) as exc:
-        # quadrature, bracket and series failures; nothing has been written,
-        # since every command writes its CSV only after the last row
+        # overflows, and quadrature and bracket failures (the only
+        # RuntimeErrors); nothing has been written, since every command
+        # writes its CSV only after the last row
         print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

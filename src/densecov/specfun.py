@@ -23,7 +23,9 @@ ulps of the true value (3.6e-16 worst relative error at 4801 points of
 reached 2.0e-13).  erfcx reads it below 2 and uses the Gauss continued
 fraction above, where erfc underflows long before erfcx does.  The fraction
 is evaluated as its tail beyond the leading x, erfc_cf_tail, which the
-coverage identity also reads on its own.  The tests audit all three against
+coverage identity also reads on its own, by a backward recurrence from a
+fixed depth of 64 levels: within 1.7e-16 of 40-digit mpmath on [2, 1e9],
+and erfcx within 3.2e-16 there.  The tests audit all three against
 independent quadrature and mpmath oracles.
 """
 
@@ -40,55 +42,50 @@ _SQRT_PI = math.sqrt(math.pi)
 _SERIES_TERMS = 56
 
 # erfcx: exp(x^2) erfc(x) below the switch point, Gauss continued fraction
-# (modified Lentz) above it, cut to its leading terms from _CF_SHORT on.
+# above it, evaluated backwards from a fixed depth.
 _ERFC_SWITCH = 2.0
-_CF_MAX_ITER = 400
-_CF_SHORT = 1e4
+_CF_DEPTH = 64
 
 
 def erfcx(x: float) -> float:
-    """Scaled complement exp(x^2) * erfc(x); stays representable for large x."""
+    """Scaled complement exp(x^2) * erfc(x); stays representable for large x.
+
+    Raises OverflowError, naming x, where the result exceeds the float
+    range (x below about -26.6)."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"erfcx requires a finite argument, got {x}")
-    if x < _ERFC_SWITCH:
-        return math.exp(x * x) * math.erfc(x)
-    return 1.0 / (_SQRT_PI * (x + erfc_cf_tail(x)))
+    if x >= _ERFC_SWITCH:
+        return 1.0 / (_SQRT_PI * (x + erfc_cf_tail(x)))
+    # below about -26.6 the product is inf, or math.exp raises first
+    try:
+        y = math.exp(x * x) * math.erfc(x)
+    except OverflowError:
+        y = math.inf
+    if y == math.inf:
+        raise OverflowError(f"erfcx overflows at x={x:g}")
+    return y
 
 
 def erfc_cf_tail(x: float) -> float:
     """Tail t = f - x of the Gauss continued fraction behind
-    erfc(x) = exp(-x^2)/sqrt(pi) * 1/f, for finite x >= 2, where
+    erfc(x) = exp(-x^2)/sqrt(pi) * 1/f, for x >= 2, where
 
         f = x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))),
 
     so that erfcx(x) = 1/(sqrt(pi) (x + t)).  t = (1/2)/g, with g the
-    fraction from its second level on, is evaluated by modified Lentz and
-    keeps its full relative accuracy, which f - x would lose to
-    cancellation.  From _CF_SHORT on, g = x + 1/x is within 1.5/x^3 of the
-    whole fraction, while the Lentz ratios hover an ulp from 1 and pile up
-    rounding errors before they stop, or never stop.
+    fraction from its second level on, keeps its full relative accuracy,
+    which f - x would lose to cancellation.  g is evaluated backwards from
+    level _CF_DEPTH; every level is positive, so no step cancels, and the
+    truncation, largest at x = 2, is 4.7e-17 relative there.
     """
-    if x >= _CF_SHORT:
-        return 0.5 / (x + 1.0 / x)
-    tiny = 1e-300
+    # written so that a NaN fails the check
+    if not x >= _ERFC_SWITCH:
+        raise ValueError(f"erfc_cf_tail requires x >= {_ERFC_SWITCH:g}, got {x}")
     g = x
-    c = x
-    d = 0.0
-    for k in range(2, _CF_MAX_ITER):
-        coef = 0.5 * k
-        d = x + coef * d
-        if d == 0.0:
-            d = tiny
-        c = x + coef / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        g *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return 0.5 / g
-    raise RuntimeError(f"erfc continued fraction failed to converge at x={x}")
+    for k in range(_CF_DEPTH, 1, -1):
+        g = x + 0.5 * k / g
+    return 0.5 / g
 
 
 @lru_cache(maxsize=64)

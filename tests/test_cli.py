@@ -430,13 +430,14 @@ class TestValidate:
 @st.composite
 def analytic_argv(draw):
     """A sweep or optimal-density command line over the ranges the CLI
-    accepts: any finite density and thresholds within +-3000 dB."""
+    accepts: any finite density, any finite alpha above 2 (2 + 10^u for u
+    in [-12, 4]) and thresholds within +-3000 dB."""
     log_lam = st.floats(-300.0, 308.2)
     lo, hi = sorted(10.0 ** draw(log_lam) for _ in range(2))
     command = draw(st.sampled_from(["cp-sweep", "ase-sweep", "optimal-density"]))
     argv = [command,
             "--model", draw(st.sampled_from(["upm", "g1", "g2", "minb"])),
-            "--alpha", repr(draw(st.floats(2.0, 10.0, exclude_min=True))),
+            "--alpha", repr(2.0 + 10.0 ** draw(st.floats(-12.0, 4.0))),
             "--tau-db", repr(draw(st.floats(-3000.0, 3000.0))),
             "--lambda-min", repr(lo), "--lambda-max", repr(hi)]
     if command != "optimal-density":

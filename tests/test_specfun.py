@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -52,23 +53,39 @@ class TestErfc:
                 assert abs(erfcx(x) - ref) <= 1e-14 * ref, x
 
     def test_short_fraction_at_large_arguments(self):
-        # a Lentz loop run on to 1e8 errs by 2.4e-14 at the first point and
-        # never converges at the second
+        # modified Lentz run on to 1e8 erred by 2.4e-14 at the first point
+        # and never converged at the second
         xs = [94856239.23749843, 94914502.9487306] + np.geomspace(1e4, 1e9, 400).tolist()
         with mpmath.workdps(40):
             for x in xs:
                 ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
                 assert abs(erfcx(x) - ref) <= 1e-15 * ref, x
 
-    def test_fraction_tail_against_mpmath_to_1e14(self):
+    def test_fraction_tail_against_mpmath_to_4e16(self):
         # t = f - x of the fraction, which the g1 coverage reads as 1 - q =
-        # t/(x + t); forming it as f - x would lose about 2 x^2 ulps
+        # t/(x + t); forming it as f - x would lose about 2 x^2 ulps.  The
+        # depth of 64 reaches 1.6e-16 here, and a depth of 56 9.6e-16
         xs = np.concatenate([np.linspace(2.0, 6.0, 401), np.geomspace(6.0, 1e9, 800)])
         with mpmath.workdps(40):
             for x in xs.tolist():
                 ref = 1 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(mpmath.mpf(x) ** 2)
                            * mpmath.erfc(x)) - x
-                assert abs(specfun.erfc_cf_tail(x) - ref) <= 1e-14 * ref, x
+                assert abs(specfun.erfc_cf_tail(x) - ref) <= 4e-16 * ref, x
+
+    @pytest.mark.parametrize("x", [1.999, 0.0, -3.0, math.nan])
+    def test_fraction_tail_refuses_arguments_below_the_switch(self, x):
+        # the depth is sized for x >= 2
+        with pytest.raises(ValueError, match="x >= 2"):
+            specfun.erfc_cf_tail(x)
+
+    def test_overflow_is_one_error_naming_x(self):
+        # erfcx(x) ~ 2 exp(x^2) leaves the float range between -26.62 and -26.635
+        with mpmath.workdps(40):
+            ref = mpmath.exp(mpmath.mpf(-26.62) ** 2) * mpmath.erfc(-26.62)
+        assert abs(erfcx(-26.62) - ref) <= 1e-12 * ref
+        for x in (-26.635, -27.0, -1e3):
+            with pytest.raises(OverflowError, match=re.escape(f"x={x:g}")):
+                erfcx(x)
 
     def test_erfcx_matches_definition_and_survives_large_arguments(self):
         for x in [0.0, 0.5, 1.5, 3.0, 8.0]:
