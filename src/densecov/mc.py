@@ -20,6 +20,14 @@ station, at independent uniform positions on that length (Haenggi,
 one Poisson draw per ring and one uniform and one exponential fading gain
 per station: in the default window, of mean 576 stations, eight rings
 hold about 579, and the 0.7 % past the window edge are masked.
+
+Each ring's map from uniforms to positions carries the factor 1/(pi lam),
+so the stream yields squared distances d^2 in m^2 and the kernel reads
+every gain from d^2 (model._gain): three of the four laws depend on d^2
+alone, so the kernel divides no interferer by pi lam and takes a square
+root only for (1 + d)^-alpha.  At alpha = 4 the power (d^2)^2 runs
+numpy's squaring loop, about a sixth of the cost of pow(d, -4).
+
 Consequences the tests rely on:
 
   * whole blocks are always drawn, so a trial's outcome is a pure function
@@ -134,32 +142,39 @@ def block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
-def _window_scale(cfg: NetworkConfig, params: SimParams) -> tuple[float, float]:
-    """pi lam, which maps a distance d to the scale pi lam d^2, and the
-    window's s_max = pi lam R^2; an OverflowError names lam and R where
-    s_max leaves the float range."""
+def _window_scale(cfg: NetworkConfig, params: SimParams) -> tuple[float, float, float]:
+    """pi lam, which maps a squared distance d^2 to the scale pi lam d^2,
+    the window's edge s_max = pi lam R^2 in that scale, and R^2 in m^2; an
+    OverflowError names lam and R where s_max leaves the float range."""
     a = math.pi * cfg.lambda_bs
     # a numpy radius would warn, not raise, where its square overflows
     radius = float(params.window_radius)
     try:
-        s_max = a * radius**2
+        d2_max = radius**2
     except OverflowError:  # radius**2 itself
-        s_max = math.inf
+        d2_max = math.inf
+    s_max = a * d2_max
     if not s_max < math.inf:
         raise OverflowError(f"window pi*lambda*R^2 overflows at lambda={cfg.lambda_bs:g} "
                             f"BS/m^2, R={radius:g} m")
-    return a, s_max
+    return a, s_max, d2_max
 
 
-def _rings(rng: np.random.Generator, s_max: float):
+def _rings(rng: np.random.Generator, a: float, s_max: float):
     """Yield a block's stations as one row per trial: first the (B,) serving
-    stations as (squared-distance scale, fading), then, for every ring
-    k = [k W, (k+1) W) of the scale that starts inside the window,
-    (counts, s, fading, edge): the (B,) station counts of each row in
-    the ring past its serving station, those stations' scales and fadings
-    laid out flat row after row, and the ring's outer edge (k+1) W.  Scales
-    past s_max occur in the last ring only and are left for the caller to
-    mask.  The consumer owns the yielded arrays and may overwrite them.
+    stations as (squared distance, fading), then, for every ring
+    k = [k W, (k+1) W) of the scale s = a d^2 (a = pi lam) that starts
+    inside the window, (counts, d2, fading, edge): the (B,) station counts
+    of each row in the ring past its serving station, those stations'
+    squared distances in m^2 and fadings laid out flat row after row, and
+    the ring's outer edge (k+1) W in the scale.  Stations past the window
+    occur in the last ring only and are left for the caller to mask.  The
+    consumer owns the yielded arrays and may overwrite them.
+
+    Rings, the window edge s_max and the draws live in the scale, where the
+    field has unit rate whatever lam; each ring's affine map from uniforms
+    to positions takes the factor 1/a, so positions come out in m^2 and no
+    consumer divides by a.  At a = 1 the positions are the scales.
 
     The first arrival is drawn from its law given a non-empty window, the
     exponential truncated at s_max, by inverting its CDF; that is the law of
@@ -175,7 +190,7 @@ def _rings(rng: np.random.Generator, s_max: float):
         # rings are drawn until one starts past s_max, which would be never
         raise OverflowError(f"window pi*lambda*R^2 = {s_max:g} overflows")
     s0 = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
-    yield s0, rng.standard_exponential(_BLOCK_TRIALS)
+    yield s0 / a, rng.standard_exponential(_BLOCK_TRIALS)
     s0_max = s0.max()
     k = 0
     while k * _RING < s_max:
@@ -184,19 +199,19 @@ def _rings(rng: np.random.Generator, s_max: float):
             # every row holds the whole ring; a scalar mean draws the same
             # counts as a constant array, at half the cost
             counts = rng.poisson(edge - inner, _BLOCK_TRIALS)
-            s = rng.random(int(counts.sum()))
-            s *= edge - inner
-            s += inner
+            d2 = rng.random(int(counts.sum()))
+            d2 *= (edge - inner) / a
+            d2 += inner / a
         else:
             # a serving station inside the ring moves that row's inner edge
             # out to it; one past the ring leaves the row empty
             start = np.maximum(s0, inner)
             width = np.maximum(edge - start, 0.0)
             counts = rng.poisson(width)
-            s = rng.random(int(counts.sum()))
-            s *= np.repeat(width, counts)
-            s += np.repeat(start, counts)
-        yield counts, s, rng.standard_exponential(s.size), edge
+            d2 = rng.random(int(counts.sum()))
+            d2 *= np.repeat(width / a, counts)
+            d2 += np.repeat(start / a, counts)
+        yield counts, d2, rng.standard_exponential(d2.size), edge
         k += 1
 
 
@@ -220,18 +235,17 @@ def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     """Coverage indicator of every trial in one block.  Received powers are
     summed ring by ring, so the working set is one ring; transmit power
     cancels between signal and interference and never enters."""
-    a, s_max = _window_scale(cfg, params)
-    rings = _rings(block_generator(params.seed, block), s_max)
-    s0, h0 = next(rings)
-    signal = pathloss_gain(model, cfg.alpha, np.sqrt(s0 / a)) * h0
+    a, s_max, d2_max = _window_scale(cfg, params)
+    rings = _rings(block_generator(params.seed, block), a, s_max)
+    d2_0, h0 = next(rings)
+    signal = pathloss_gain(model, cfg.alpha, np.sqrt(d2_0)) * h0
     interference = np.zeros(_BLOCK_TRIALS)
-    for counts, s, h, edge in rings:
-        outside = s > s_max if edge > s_max else None
+    for counts, d2, h, edge in rings:
+        outside = d2 > d2_max if edge > s_max else None
         # interferers lie past the serving station, so their distances are
         # >= 0 by construction and only the serving station above needs
         # the validating path (which rejects d = 0 under the unbounded law)
-        received = np.sqrt(np.divide(s, a, out=s), out=s)
-        _gain(model, cfg.alpha, received, received)
+        received = _gain(model, cfg.alpha, d2, d2)
         received *= h
         if outside is not None:
             received[outside] = 0.0
@@ -248,21 +262,21 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     (an exact property of the ring construction).  Each row's stations are
     sorted by distance, their fadings with them.
     """
-    a, s_max = _window_scale(cfg, params)
-    rings = _rings(block_generator(params.seed, block), s_max)
-    s0, h0 = next(rings)
+    a, s_max, d2_max = _window_scale(cfg, params)
+    rings = _rings(block_generator(params.seed, block), a, s_max)
+    d2_0, h0 = next(rings)
     trial = np.arange(_BLOCK_TRIALS)
-    # the serving station is always in (its draw may round just past s_max)
-    # and comes first in its row, also on a tie
-    rows, s, h = [trial], [s0], [h0]
-    for counts, s_k, h_k, _ in rings:
-        inside = s_k <= s_max
+    # the serving station is always in (its draw may round just past the
+    # edge) and comes first in its row, also on a tie
+    rows, d2, h = [trial], [d2_0], [h0]
+    for counts, d2_k, h_k, _ in rings:
+        inside = d2_k <= d2_max
         rows.append(np.repeat(trial, counts)[inside])
-        s.append(s_k[inside])
+        d2.append(d2_k[inside])
         h.append(h_k[inside])
-    rows, s, h = (np.concatenate(x) for x in (rows, s, h))
-    order = np.lexsort((s, rows))
-    r = np.sqrt(s[order] / a)
+    rows, d2, h = (np.concatenate(x) for x in (rows, d2, h))
+    order = np.lexsort((d2, rows))
+    r = np.sqrt(d2[order])
     h = h[order]
     cut = np.cumsum(np.bincount(rows, minlength=_BLOCK_TRIALS))[:-1]
     return [Realization(d, f) for d, f in zip(np.split(r, cut), np.split(h, cut))]

@@ -65,37 +65,41 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
 
     The unbounded law rejects d = 0: its singularity there (gain above one,
     received power exceeding transmitted) is exactly the defect the bounded
-    models remove.
+    models remove.  A distance whose square overflows gets gain 0, and one
+    whose square underflows gets the gain at d = 0 (inf under upm).
     """
     arr = np.asarray(d, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("distance must be >= 0")
     if model is PathlossModel.UNBOUNDED and np.any(arr == 0.0):
         raise ValueError("unbounded pathloss is singular at d = 0")
-    out = _gain(model, alpha, arr, np.empty_like(arr))
+    with np.errstate(over="ignore"):
+        d2 = np.multiply(arr, arr, out=np.empty_like(arr))
+    out = _gain(model, alpha, d2, d2)
     scalar = np.isscalar(d) or getattr(d, "ndim", 0) == 0
     return float(out) if scalar else out
 
 
-def _gain(model: PathlossModel, alpha: float, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g(d) written into out, which may be d itself; d is not validated."""
-    if model is PathlossModel.UNBOUNDED:
-        np.power(d, -alpha, out=out)
-    elif model is PathlossModel.BOUNDED_G1:
-        np.power(np.add(d, 1.0, out=out), -alpha, out=out)
-    elif model is PathlossModel.BOUNDED_G2:
-        # d^a = inf far out gives the right gain, 0
-        with np.errstate(over="ignore"):
-            np.power(d, alpha, out=out)
-        np.divide(1.0, np.add(out, 1.0, out=out), out=out)
-    elif model is PathlossModel.MIN_BOUNDED:
-        # d^-a >= 1 exactly where d <= 1, and d = 0 gives inf
-        with np.errstate(divide="ignore", over="ignore"):
-            np.power(d, -alpha, out=out)
-        np.minimum(out, 1.0, out=out)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled model {model}")
-    return out
+def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g read from the squared distance d2 (m^2), written into out, which may
+    be d2 itself; d2 is not validated.  d2 = inf gives 0, and d2 = 0 gives
+    the gain at the origin (inf under upm)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        if model is PathlossModel.BOUNDED_G1:
+            # the one law that needs d itself; sqrt(d*d) is d exactly
+            # wherever d*d is a normal float
+            np.power(np.add(np.sqrt(d2, out=out), 1.0, out=out), -alpha, out=out)
+            return out
+        # d^a = (d^2)^(a/2), which numpy squares at a = 4
+        np.power(d2, 0.5 * alpha, out=out)
+        if model is PathlossModel.BOUNDED_G2:
+            np.add(out, 1.0, out=out)
+        elif model is PathlossModel.MIN_BOUNDED:
+            # min(1, d^-a) = 1/max(1, d^a)
+            np.maximum(out, 1.0, out=out)
+        elif model is not PathlossModel.UNBOUNDED:  # pragma: no cover
+            raise ValueError(f"unhandled model {model}")
+        return np.divide(1.0, out, out=out)
 
 
 @dataclass(frozen=True)

@@ -110,3 +110,22 @@ def gauss_legendre_mp(n):
         nodes = sorted(rule.calc_nodes(m, mpmath.mp.prec))
         return (np.array([float(x) for x, _ in nodes]),
                 np.array([float(w) for _, w in nodes]))
+
+
+def gain_distance_form(tag, alpha, d):
+    """The gain laws as written in the distance d, at 40 digits at the exact
+    values of the float inputs, rounded to double: d^-alpha (upm, d > 0),
+    (1+d)^-alpha (g1), 1/(1+d^alpha) (g2) and min(1, d^-alpha) (minb)."""
+    with mpmath.workdps(40):
+        a, d = mpmath.mpf(alpha), mpmath.mpf(d)
+        if tag == "upm":
+            g = d ** -a
+        elif tag == "g1":
+            g = (1 + d) ** -a
+        elif tag == "g2":
+            g = 1 / (1 + d ** a)
+        elif tag == "minb":
+            g = 1 if d <= 1 else d ** -a
+        else:
+            raise ValueError(f"unknown model tag {tag!r}")
+        return float(g)

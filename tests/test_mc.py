@@ -21,6 +21,23 @@ CFG = NetworkConfig(lambda_bs=0.3, alpha=4.0, tau=10.0)
 CFG_LAM1 = NetworkConfig(lambda_bs=1.0, alpha=4.0, tau=10.0)
 B = mc._BLOCK_TRIALS
 
+# (lam, tau, seed) -> covered counts of upm, g1, g2, minb out of 2000 trials
+# in the default window at alpha = 4
+PINNED_DEFAULT_WINDOW = {
+    (1e-3, 1.0, 0): (1104, 1057, 1104, 1104),
+    (1e-3, 1.0, 42): (1058, 1012, 1058, 1058),
+    (1e-3, 10.0, 0): (399, 344, 399, 399),
+    (1e-3, 10.0, 42): (381, 332, 381, 381),
+    (0.3, 1.0, 0): (1104, 443, 588, 660),
+    (0.3, 1.0, 42): (1058, 407, 549, 632),
+    (0.3, 10.0, 0): (399, 11, 10, 25),
+    (0.3, 10.0, 42): (381, 9, 9, 21),
+    (2.0, 1.0, 0): (1104, 35, 2, 1),
+    (2.0, 1.0, 42): (1058, 40, 2, 2),
+    (2.0, 10.0, 0): (399, 0, 0, 0),
+    (2.0, 10.0, 42): (381, 0, 0, 0),
+}
+
 
 def params_for(lam, trials, seed=42):
     return SimParams(window_radius=window_radius(lam), trials=trials, seed=seed)
@@ -151,7 +168,8 @@ class TestSampleNetwork:
         # -expm1(-576) rounds to 1, so the truncated draw is bit-equal to
         # inverting the plain exponential CDF at the same uniforms
         s_max = mc.WINDOW_K**2
-        s0, _ = next(mc._rings(block_generator(42, 0), s_max))
+        # at pi lam = 1 the yielded squared distances are the scales
+        s0, _ = next(mc._rings(block_generator(42, 0), 1.0, s_max))
         u = block_generator(42, 0).random(B)
         assert np.array_equal(s0, -np.log1p(-u))
 
@@ -173,27 +191,27 @@ class TestSampleNetwork:
         pytest.param(lambda lam: math.sqrt(100.0 / (math.pi * lam)), id="mid-ring-window"),
     ])
     def test_rows_are_the_kernel_distances(self, radius_of):
-        # each realization is its row of sqrt(s / (pi lam)), the expression
-        # the coverage kernel evaluates, over the stations inside the
-        # window, sorted, the serving station first
+        # each realization is its row of the square roots of the squared
+        # distances the coverage kernel reads its gains from, over the
+        # stations within R^2, sorted, the serving station first
         lam = 0.3
         params = SimParams(window_radius=radius_of(lam), trials=1, seed=42)
         a = math.pi * lam
-        s_max = a * params.window_radius**2
-        rings = mc._rings(block_generator(42, 0), s_max)
-        s0, h0 = next(rings)
-        per_row = [([s0[row]], [h0[row]]) for row in range(B)]
-        for counts, s, h, _ in rings:
-            for row, (s_row, h_row) in enumerate(zip(np.split(s, np.cumsum(counts)[:-1]),
-                                                     np.split(h, np.cumsum(counts)[:-1]))):
-                per_row[row][0].extend(s_row[s_row <= s_max])
-                per_row[row][1].extend(h_row[s_row <= s_max])
+        d2_max = params.window_radius**2
+        rings = mc._rings(block_generator(42, 0), a, a * d2_max)
+        d2_0, h0 = next(rings)
+        per_row = [([d2_0[row]], [h0[row]]) for row in range(B)]
+        for counts, d2, h, _ in rings:
+            for row, (d2_row, h_row) in enumerate(zip(np.split(d2, np.cumsum(counts)[:-1]),
+                                                      np.split(h, np.cumsum(counts)[:-1]))):
+                per_row[row][0].extend(d2_row[d2_row <= d2_max])
+                per_row[row][1].extend(h_row[d2_row <= d2_max])
         rows = sample_block(NetworkConfig(lam, 4.0, 10.0), params, 0)
         assert len(rows) == B
-        for r, (s_row, h_row) in zip(rows, per_row):
-            order = np.argsort(s_row, kind="stable")
+        for r, (d2_row, h_row) in zip(rows, per_row):
+            order = np.argsort(d2_row, kind="stable")
             assert order[0] == 0
-            assert np.array_equal(r.distances, np.sqrt(np.array(s_row)[order] / a))
+            assert np.array_equal(r.distances, np.sqrt(np.array(d2_row)[order]))
             assert np.array_equal(r.fading, np.array(h_row)[order])
 
 
@@ -220,10 +238,11 @@ class TestRingStream:
         assert stats.kstest(pit, "uniform").pvalue > 1e-3
 
     def test_positions_are_uniform_within_a_ring(self):
-        # ring 0 runs from each row's serving station to W, ring 1 is full
+        # ring 0 runs from each row's serving station to W, ring 1 is full;
+        # at pi lam = 1 the yielded squared distances are the scales
         rel = {0: [], 1: []}
         for block in range(4):
-            rings = mc._rings(block_generator(9, block), mc.WINDOW_K**2)
+            rings = mc._rings(block_generator(9, block), 1.0, mc.WINDOW_K**2)
             s0, _ = next(rings)
             for k in (0, 1):
                 counts, s, _, edge = next(rings)
@@ -244,7 +263,7 @@ class TestRingStream:
     def test_window_that_overflows_is_refused_before_any_draw(self):
         # rings are drawn until one starts past the window, never at inf
         with pytest.raises(OverflowError, match="overflows"):
-            next(mc._rings(block_generator(0, 0), math.inf))
+            next(mc._rings(block_generator(0, 0), 1.0, math.inf))
         huge = NetworkConfig(1e308, 4.0, 10.0)   # pi lam rounds to inf
         params = SimParams(window_radius(1e308), 1, 0)
         with pytest.raises(OverflowError):
@@ -373,6 +392,28 @@ class TestEstimates:
         ref = analytic.cp_g2(cfg).value
         se = math.sqrt(max(ref * (1.0 - ref), est.mean * (1.0 - est.mean)) / 20_000)
         assert abs(est.mean - ref) <= 3.0 * se
+
+    def test_covered_counts_are_pinned(self):
+        # covered counts out of 2000 trials at alpha = 4, frozen from the
+        # kernel that mapped each squared-distance scale s to d = sqrt(s/(pi
+        # lam)) before the gain; reading the gain from d^2 must not move one
+        models = ("upm", "g1", "g2", "minb")
+        for (lam, tau, seed), counts in PINNED_DEFAULT_WINDOW.items():
+            cfg = NetworkConfig(lam, 4.0, tau)
+            for tag, expected in zip(models, counts):
+                est = estimate_cp(cfg, PathlossModel.from_tag(tag), params_for(lam, 2000, seed))
+                assert round(est.mean * 2000) == expected, (tag, lam, tau, seed)
+        # past the 1 m window floor, where s_max = 500 pi is not WINDOW_K^2
+        for tau, seed, expected in ((1e-2, 42, 117), (1e-3, 42, 1485),
+                                    (1e-2, 0, 107), (1e-3, 0, 1454)):
+            est = estimate_cp(NetworkConfig(500.0, 4.0, tau), PathlossModel.BOUNDED_G1,
+                              params_for(500.0, 2000, seed))
+            assert round(est.mean * 2000) == expected, (tau, seed)
+        # a window that ends 27.5 units into the second ring
+        mid = SimParams(math.sqrt(100.0 / (math.pi * 0.3)), 2000, 42)
+        for tag, expected in zip(models, (384, 10, 10, 22)):
+            est = estimate_cp(CFG, PathlossModel.from_tag(tag), mid)
+            assert round(est.mean * 2000) == expected, tag
 
     def test_transmit_power_never_enters(self):
         params = params_for(0.3, 1500)

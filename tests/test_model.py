@@ -1,19 +1,22 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from densecov import specfun
 from densecov.model import (
     NetworkConfig,
     PathlossModel,
     _derived_constants,
+    _gain,
     derived_constants,
     pathloss_gain,
 )
 
-from oracles import euler_integral
+from oracles import euler_integral, gain_distance_form
 
 # frozen from 40-digit evaluations of the defining hypergeometric identities
 C1_A4_T10 = 3.9987600505576614
@@ -65,6 +68,81 @@ class TestPathlossGain:
         assert PathlossModel.from_tag("g2") is PathlossModel.BOUNDED_G2
         with pytest.raises(ValueError):
             PathlossModel.from_tag("bogus")
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(model=st.sampled_from(list(PathlossModel)), u=st.floats(-12.0, 4.0),
+           d=st.one_of(st.just(0.0), st.floats(1e-320, 1e308)), negative=st.booleans())
+    # d^-alpha overflows here: inf, with no warning
+    @example(model=PathlossModel.UNBOUNDED, u=math.log10(2.0), d=1e-100, negative=False)
+    def test_every_distance_has_a_gain_or_a_value_error(self, model, u, d, negative):
+        alpha = 2.0 + 10.0 ** u
+        d = -d if negative else d
+        refused = d < 0.0 or (model is PathlossModel.UNBOUNDED and d == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (d, np.array([d])):
+                if refused:
+                    with pytest.raises(ValueError):
+                        pathloss_gain(model, alpha, arg)
+                else:
+                    g = pathloss_gain(model, alpha, arg)
+                    assert np.all((0.0 <= g) & (g <= math.inf)), (g, alpha, d)
+
+
+def _distances():
+    """Log-uniform distances over [1e-320, 1e308] with 0, the band about
+    d = 1 where the bounded laws bend, and the narrower band where d^-alpha
+    is a normal float at alpha = 1e4."""
+    rng = np.random.default_rng(2026)
+    return np.concatenate([[0.0, 1.0, 1e-320, 1e308], 10.0 ** rng.uniform(-320.0, 308.0, 600),
+                           rng.uniform(0.25, 4.0, 200), np.exp(rng.uniform(-0.1, 0.1, 200))])
+
+
+def _assert_matches_distance_form(model, alpha, d):
+    """_gain(d*d) within (alpha + 4) half-ulps of the distance form, wherever
+    both are normal floats."""
+    with np.errstate(over="ignore"):
+        d2 = d * d
+    got = _gain(model, alpha, d2, np.empty_like(d2))
+    ref = np.array([gain_distance_form(model.value, alpha, x) for x in d])
+    tiny = np.finfo(float).tiny
+    normal = (tiny <= got) & (got < math.inf) & (tiny <= ref) & (ref < math.inf)
+    assert normal.sum() >= 10
+    err = np.abs(got[normal] - ref[normal]) / ref[normal]
+    worst = int(np.argmax(err))
+    assert err[worst] <= (alpha + 4.0) * 2.0**-53, (d[normal][worst], err[worst])
+
+
+class TestGainFromSquaredDistance:
+    """_gain reads every law from d^2; the oracle writes each law in d."""
+
+    @pytest.mark.parametrize("model", list(PathlossModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.000001, 2.5, 3.0, 4.0, 6.0, 10.0,
+                                       100.0, 1e4])
+    def test_matches_distance_form_to_alpha_plus_4_half_ulps(self, model, alpha):
+        d = _distances()
+        if model is PathlossModel.UNBOUNDED:
+            # d = 0 is refused; where d*d is subnormal, see the next test
+            d = d[d >= math.sqrt(np.finfo(float).tiny)]
+        _assert_matches_distance_form(model, alpha, d)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="d*d is subnormal, so d^2 carries up to 4 half-ulps "
+                              "before the power")
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.000001])
+    def test_upm_from_a_subnormal_square(self, alpha):
+        # d^-alpha is normal here only for alpha within about 1e-5 of 2
+        d = np.geomspace(7.5e-155, 1.5e-154, 400)
+        _assert_matches_distance_form(PathlossModel.UNBOUNDED, alpha, d)
+
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.5, 3.0, 4.0, 6.0, 100.0, 1e4])
+    def test_g1_is_the_distance_form_bit_for_bit(self, alpha):
+        # sqrt(d*d) == d wherever d*d is normal, so (1 + d)^-alpha comes out
+        # exactly as when it was computed from d
+        rng = np.random.default_rng(7)
+        d = 10.0 ** rng.uniform(-150.0, 150.0, 20_000)
+        got = _gain(PathlossModel.BOUNDED_G1, alpha, d * d, np.empty_like(d))
+        assert np.array_equal(got, np.power(1.0 + d, -alpha))
 
 
 class TestNetworkConfig:
