@@ -17,7 +17,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,25 +49,10 @@ _DEFAULT_VALIDATE_GRID = {
 }
 
 
-@dataclass
-class SweepRow:
-    """One CSV record of a density sweep; None fields print as empty cells."""
-
-    lambda_bs: float
-    model: str
-    cp_analytic: float | None = None
-    cp_lower: float | None = None
-    cp_upper: float | None = None
-    cp_mc_mean: float | None = None
-    cp_mc_stderr: float | None = None
-    ase_analytic: float | None = None
-    ase_upper: float | None = None
-    ase_lower: float | None = None
-    ase_mc_mean: float | None = None
-    rate_function: float | None = None
-
-
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+# one CSV record of a density sweep per row; None prints as an empty cell
+SWEEP_COLUMNS = ("lambda_bs", "model", "cp_analytic", "cp_lower", "cp_upper",
+                 "cp_mc_mean", "cp_mc_stderr", "ase_analytic", "ase_upper",
+                 "ase_lower", "ase_mc_mean", "rate_function")
 
 
 def db_to_linear(db: float) -> float:
@@ -233,32 +217,33 @@ def cmd_sweep(args) -> int:
     for lam in map(float, grid):
         cfg = NetworkConfig(lambda_bs=lam, alpha=args.alpha, tau=tau)
         cp, cp_lo, cp_hi = _analytic_cp(cfg, model)
-        row = SweepRow(lambda_bs=lam, model=args.model)
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update(lambda_bs=lam, model=args.model)
         if cp is not None:
-            row.cp_analytic = cp.value
-            row.cp_lower = None if cp_lo is None else cp_lo.value
-            row.cp_upper = None if cp_hi is None else cp_hi.value
+            row["cp_analytic"] = cp.value
+            row["cp_lower"] = None if cp_lo is None else cp_lo.value
+            row["cp_upper"] = None if cp_hi is None else cp_hi.value
         if with_ase:
             if cp is not None:
-                row.ase_analytic = analytic.ase(cfg, cp).value
+                row["ase_analytic"] = analytic.ase(cfg, cp).value
             if model in (PathlossModel.BOUNDED_G1, PathlossModel.BOUNDED_G2):
-                row.ase_upper = analytic.ase_upper(cfg).value
-                row.ase_lower = analytic.ase_lower(cfg).value
+                row["ase_upper"] = analytic.ase_upper(cfg).value
+                row["ase_lower"] = analytic.ase_lower(cfg).value
             dc = analytic.derived_constants(cfg.alpha, cfg.tau)
-            row.rate_function = lam * math.exp(-dc.kappa_upper * lam)
+            row["rate_function"] = lam * math.exp(-dc.kappa_upper * lam)
         if args.trials > 0:
             params = mc.SimParams(
                 window_radius=mc.window_radius(lam),
                 trials=args.trials, seed=args.seed)
             est = mc.estimate_cp(cfg, model, params)
-            row.cp_mc_mean = est.mean
-            row.cp_mc_stderr = est.stderr
+            row["cp_mc_mean"] = est.mean
+            row["cp_mc_stderr"] = est.stderr
             if with_ase:
                 scale = lam * math.log2(1.0 + tau)
-                row.ase_mc_mean = scale * est.mean
+                row["ase_mc_mean"] = scale * est.mean
         rows.append(row)
     lines = _header_lines(args)
-    lines += [",".join(_fmt(getattr(r, c)) for c in SWEEP_COLUMNS) for r in rows]
+    lines += [",".join(map(_fmt, r.values())) for r in rows]
     _write(lines, args.output)
     return EXIT_OK
 

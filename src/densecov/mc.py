@@ -23,10 +23,13 @@ hold about 579, and the 0.7 % past the window edge are masked.
 
 Each ring's map from uniforms to positions carries the factor 1/(pi lam),
 so the stream yields squared distances d^2 in m^2 and the kernel reads
-every gain from d^2 (model._gain): three of the four laws depend on d^2
-alone, so the kernel divides no interferer by pi lam and takes a square
-root only for (1 + d)^-alpha.  At alpha = 4 the power (d^2)^2 runs
-numpy's squaring loop, about a sixth of the cost of pow(d, -4).
+every gain, the serving station's included, from d^2 (model._gain): three
+of the four laws depend on d^2 alone, so the kernel divides no station by
+pi lam and takes a square root only for (1 + d)^-alpha.  A serving station
+drawn at d^2 = 0 gets the gain at the origin, inf under d^-alpha, and its
+trial counts as covered; sir_sample, given distances, still refuses d = 0
+there.  At alpha = 4 the power (d^2)^2 runs numpy's squaring loop, about a
+sixth of the cost of pow(d, -4).
 
 Consequences the tests rely on:
 
@@ -238,13 +241,11 @@ def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     a, s_max, d2_max = _window_scale(cfg, params)
     rings = _rings(block_generator(params.seed, block), a, s_max)
     d2_0, h0 = next(rings)
-    signal = pathloss_gain(model, cfg.alpha, np.sqrt(d2_0)) * h0
+    signal = _gain(model, cfg.alpha, d2_0, d2_0)
+    signal *= h0
     interference = np.zeros(_BLOCK_TRIALS)
     for counts, d2, h, edge in rings:
         outside = d2 > d2_max if edge > s_max else None
-        # interferers lie past the serving station, so their distances are
-        # >= 0 by construction and only the serving station above needs
-        # the validating path (which rejects d = 0 under the unbounded law)
         received = _gain(model, cfg.alpha, d2, d2)
         received *= h
         if outside is not None:

@@ -22,10 +22,8 @@ class PathlossModel(Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "PathlossModel":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValueError(f"unknown pathloss model tag {tag!r}")
+        # the Enum's value lookup raises ValueError on an unknown tag
+        return cls(tag)
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,6 @@ def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -
         elif model is PathlossModel.MIN_BOUNDED:
             # min(1, d^-a) = 1/max(1, d^a)
             np.maximum(out, 1.0, out=out)
-        elif model is not PathlossModel.UNBOUNDED:  # pragma: no cover
-            raise ValueError(f"unhandled model {model}")
         return np.divide(1.0, out, out=out)
 
 
@@ -111,6 +107,8 @@ class DerivedConstants:
     specfun.hyf_shapes; c_hat = c1 - c2 > 0 because H_b2 < H_b1 and
     alpha - 1 > alpha - 2.  kappa_upper = pi 2^-alpha c_hat is the decay rate
     of the upper throughput envelope lam * exp(-kappa_upper lam).
+    derived_constants raises FloatingPointError where the computed
+    constants lose that order, as H_b's error grows with alpha.
     """
 
     c1: float
@@ -134,6 +132,9 @@ def _derived_constants(alpha: float, tau: float) -> DerivedConstants:
     b1, b2 = specfun.hyf_shapes(alpha)
     c1 = 2.0 * tau * specfun.hyf(tau, b1) / (alpha - 2.0)
     c2 = 2.0 * tau * specfun.hyf(tau, b2) / (alpha - 1.0)
+    if not 0.0 < c2 < c1:
+        raise FloatingPointError(f"interference constants lose their order 0 < c2 < c1 "
+                                 f"at alpha={alpha:g}, tau={tau:g}: c1={c1!r}, c2={c2!r}")
     c_hat = c1 - c2
     return DerivedConstants(c1=c1, c2=c2, c_hat=c_hat,
                             kappa_upper=math.pi * 2.0**-alpha * c_hat)

@@ -88,6 +88,8 @@ NUMERICAL_FAILURES = [
     (["cp-sweep", "--alpha", "1e17", "--points", "1"], "1 - 1/alpha rounds to 1"),
     (["cp-sweep", "--lambda-min", "1e308", "--lambda-max", "1e308", "--points", "1"],
      "pi*lambda overflows"),
+    (["cp-sweep", "--model", "g1", "--alpha", "1e9", "--points", "2"],
+     "interference constants lose their order 0 < c2 < c1 at alpha=1e+09"),
 ]
 
 

@@ -319,6 +319,26 @@ class TestSirSample:
             sir_sample(r, PathlossModel.UNBOUNDED, 4.0)
 
 
+class TestKernel:
+    def test_serving_station_at_the_origin_is_covered(self, monkeypatch):
+        # a serving draw at d^2 = 0 has gain inf under d^-alpha
+        rings = mc._rings
+
+        def serving_at_origin(*args):
+            stream = rings(*args)
+            d2_0, h0 = next(stream)
+            d2_0[0] = 0.0
+            yield d2_0, h0
+            yield from stream
+
+        params = params_for(CFG.lambda_bs, B)
+        drawn = mc._covered_block(CFG, PathlossModel.UNBOUNDED, params, 0)
+        monkeypatch.setattr(mc, "_rings", serving_at_origin)
+        hits = mc._covered_block(CFG, PathlossModel.UNBOUNDED, params, 0)
+        assert hits[0]
+        assert np.array_equal(hits[1:], drawn[1:])
+
+
 class TestEstimates:
     def test_threshold_to_zero_gives_certain_coverage(self):
         cfg = NetworkConfig(0.3, 4.0, 1e-12)

@@ -221,6 +221,12 @@ class TestDerivedConstants:
         assert derived_constants(3.7, 5.0) == _derived_constants.__wrapped__(3.7, 5.0)
         assert derived_constants(4, 10) == _derived_constants.__wrapped__(4.0, 10.0)
 
+    def test_crossed_constants_raise(self):
+        # H_b's error grows with alpha, and at alpha = 1e9 both constants
+        # come out negative, c2 below c1
+        with pytest.raises(FloatingPointError, match=r"alpha=1e\+09, tau=10: c1=.*, c2="):
+            derived_constants(1e9, 10.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             derived_constants(2.0, 1.0)
