@@ -13,13 +13,13 @@ spawn key keys it by (seed, b) as well as Philox's counter key would.
 Within a block, one row per trial, stations are generated ring by ring in
 the squared-distance scale s = pi*lam*r^2, where the field is a unit-rate
 Poisson process.  The serving (nearest) station comes first, at its
-exponential law; then each ring [k W, (k+1) W) of the scale holds a
-Poisson count of stations, with mean the ring's length past the serving
-station, at independent uniform positions on that length (Haenggi,
+exponential law and always below W; ring 0 = [0, W) starts at it and every
+later ring [k W, (k+1) W) is whole.  Each holds a Poisson count of
+stations, with mean its length, at independent uniform positions (Haenggi,
 "Stochastic Geometry for Wireless Networks", 2012, ch. 2).  A trial costs
 one Poisson draw per ring and one uniform and one exponential fading gain
 per station: in the default window, of mean 576 stations, eight rings
-hold about 579, and the 0.7 % past the window edge are masked.
+hold about 579, and the 0.7 % past the window edge are given d^2 = inf.
 
 Each ring's map from uniforms to positions carries the factor 1/(pi lam),
 so the stream yields squared distances d^2 in m^2 and the kernel reads
@@ -145,77 +145,73 @@ def block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
-def _window_scale(cfg: NetworkConfig, params: SimParams) -> tuple[float, float, float]:
-    """pi lam, which maps a squared distance d^2 to the scale pi lam d^2,
-    the window's edge s_max = pi lam R^2 in that scale, and R^2 in m^2; an
-    OverflowError names lam and R where s_max leaves the float range."""
+def _block_rings(cfg: NetworkConfig, params: SimParams, block: int):
+    """One block's ring stream in the window of radius R; an OverflowError
+    names lam and R where pi lam R^2 leaves the float range."""
     a = math.pi * cfg.lambda_bs
-    # a numpy radius would warn, not raise, where its square overflows
+    # a numpy radius would warn where its square overflows; a float gives inf
     radius = float(params.window_radius)
-    try:
-        d2_max = radius**2
-    except OverflowError:  # radius**2 itself
-        d2_max = math.inf
-    s_max = a * d2_max
-    if not s_max < math.inf:
+    d2_max = radius * radius
+    if not a * d2_max < math.inf:
         raise OverflowError(f"window pi*lambda*R^2 overflows at lambda={cfg.lambda_bs:g} "
                             f"BS/m^2, R={radius:g} m")
-    return a, s_max, d2_max
+    return _rings(block_generator(params.seed, block), a, d2_max)
 
 
-def _rings(rng: np.random.Generator, a: float, s_max: float):
-    """Yield a block's stations as one row per trial: first the (B,) serving
-    stations as (squared distance, fading), then, for every ring
-    k = [k W, (k+1) W) of the scale s = a d^2 (a = pi lam) that starts
-    inside the window, (counts, d2, fading, edge): the (B,) station counts
-    of each row in the ring past its serving station, those stations'
-    squared distances in m^2 and fadings laid out flat row after row, and
-    the ring's outer edge (k+1) W in the scale.  Stations past the window
-    occur in the last ring only and are left for the caller to mask.  The
-    consumer owns the yielded arrays and may overwrite them.
+def _rings(rng: np.random.Generator, a: float, d2_max: float):
+    """Yield a block's stations in the window d^2 <= d2_max as one row per
+    trial: first the (B,) serving stations as (squared distance, fading),
+    then, for every ring k = [k W, (k+1) W) of the scale s = a d^2
+    (a = pi lam) that starts inside the window, (counts, d2, fading): the
+    (B,) station counts of each row in the ring and those stations' squared
+    distances in m^2 and fadings laid out flat row after row.  Ring 0 starts
+    at each row's serving station and every later ring is whole.  Stations
+    past the window, all in the last ring, have d2 = inf, an absent station
+    of gain 0 under every law.  The consumer may overwrite the arrays.
 
-    Rings, the window edge s_max and the draws live in the scale, where the
-    field has unit rate whatever lam; each ring's affine map from uniforms
-    to positions takes the factor 1/a, so positions come out in m^2 and no
-    consumer divides by a.  At a = 1 the positions are the scales.
+    Rings, the window edge s_max = a d2_max and the draws live in the scale,
+    where the field has unit rate whatever lam; each ring's affine map from
+    uniforms to positions takes the factor 1/a, so positions come out in m^2
+    and no consumer divides by a.  At a = 1 the positions are the scales.
 
     The first arrival is drawn from its law given a non-empty window, the
     exponential truncated at s_max, by inverting its CDF; that is the law of
     redrawing until a station falls inside, without the redraws.  When
     -expm1(-s_max) rounds to 1 (the default window) it is bit-equal to the
-    untruncated inverse-CDF draw.  Given it at s0, the other stations are a
-    unit-rate Poisson process on (s0, inf), so each ring holds a Poisson
-    count, with mean the ring's length past s0, at independent uniform
-    positions on that length.  Whole rings are drawn whatever s_max, so a
-    ring's draws do not depend on the window.
+    untruncated inverse-CDF draw.  A uniform is at most 1 - 2^-53, so the
+    arrival is at most 53 ln 2 = 36.7 < W, inside ring 0.  Given it at s0,
+    the other stations are a unit-rate Poisson process on (s0, inf), so each
+    ring holds a Poisson count, with mean the ring's length past s0, at
+    independent uniform positions on that length.  Whole rings are drawn
+    whatever s_max, so a ring's draws do not depend on the window.
     """
+    s_max = a * d2_max
     if not s_max < math.inf:
         # rings are drawn until one starts past s_max, which would be never
         raise OverflowError(f"window pi*lambda*R^2 = {s_max:g} overflows")
     s0 = -np.log1p(rng.random(_BLOCK_TRIALS) * math.expm1(-s_max))
     yield s0 / a, rng.standard_exponential(_BLOCK_TRIALS)
-    s0_max = s0.max()
     k = 0
     while k * _RING < s_max:
-        inner, edge = k * _RING, (k + 1) * _RING
-        if s0_max <= inner:
-            # every row holds the whole ring; a scalar mean draws the same
-            # counts as a constant array, at half the cost
-            counts = rng.poisson(edge - inner, _BLOCK_TRIALS)
-            d2 = rng.random(int(counts.sum()))
-            d2 *= (edge - inner) / a
-            d2 += inner / a
-        else:
-            # a serving station inside the ring moves that row's inner edge
-            # out to it; one past the ring leaves the row empty
-            start = np.maximum(s0, inner)
-            width = np.maximum(edge - start, 0.0)
+        if k == 0:
+            # each row's ring 0 starts at its serving station
+            width = _RING - s0
             counts = rng.poisson(width)
             d2 = rng.random(int(counts.sum()))
             d2 *= np.repeat(width / a, counts)
-            d2 += np.repeat(start / a, counts)
-        yield counts, d2, rng.standard_exponential(d2.size), edge
+            d2 += np.repeat(s0 / a, counts)
+        else:
+            # every row holds the whole ring; a scalar mean draws the same
+            # counts as a constant array, at half the cost
+            counts = rng.poisson(_RING, _BLOCK_TRIALS)
+            d2 = rng.random(int(counts.sum()))
+            d2 *= _RING / a
+            d2 += k * _RING / a
         k += 1
+        if not k * _RING < s_max:
+            # the last ring, the only one that reaches past the window
+            d2[d2 > d2_max] = math.inf
+        yield counts, d2, rng.standard_exponential(d2.size)
 
 
 def _row_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -238,18 +234,14 @@ def _covered_block(cfg: NetworkConfig, model: PathlossModel, params: SimParams,
     """Coverage indicator of every trial in one block.  Received powers are
     summed ring by ring, so the working set is one ring; transmit power
     cancels between signal and interference and never enters."""
-    a, s_max, d2_max = _window_scale(cfg, params)
-    rings = _rings(block_generator(params.seed, block), a, s_max)
+    rings = _block_rings(cfg, params, block)
     d2_0, h0 = next(rings)
     signal = _gain(model, cfg.alpha, d2_0, d2_0)
     signal *= h0
     interference = np.zeros(_BLOCK_TRIALS)
-    for counts, d2, h, edge in rings:
-        outside = d2 > d2_max if edge > s_max else None
+    for counts, d2, h in rings:
         received = _gain(model, cfg.alpha, d2, d2)
         received *= h
-        if outside is not None:
-            received[outside] = 0.0
         interference += _row_sums(received, counts)
     # a trial with no interferer is covered at any finite threshold
     return (interference <= 0.0) | (signal > cfg.tau * interference)
@@ -263,15 +255,14 @@ def sample_block(cfg: NetworkConfig, params: SimParams, block: int) -> list[Real
     (an exact property of the ring construction).  Each row's stations are
     sorted by distance, their fadings with them.
     """
-    a, s_max, d2_max = _window_scale(cfg, params)
-    rings = _rings(block_generator(params.seed, block), a, s_max)
+    rings = _block_rings(cfg, params, block)
     d2_0, h0 = next(rings)
     trial = np.arange(_BLOCK_TRIALS)
     # the serving station is always in (its draw may round just past the
     # edge) and comes first in its row, also on a tie
     rows, d2, h = [trial], [d2_0], [h0]
-    for counts, d2_k, h_k, _ in rings:
-        inside = d2_k <= d2_max
+    for counts, d2_k, h_k in rings:
+        inside = d2_k < math.inf
         rows.append(np.repeat(trial, counts)[inside])
         d2.append(d2_k[inside])
         h.append(h_k[inside])

@@ -67,8 +67,10 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
     whose square underflows gets the gain at d = 0 (inf under upm).
     """
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # phrased so that NaN fails too
         raise ValueError("distance must be >= 0")
+    if not 2.0 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 2 and be finite, got {alpha}")
     if model is PathlossModel.UNBOUNDED and np.any(arr == 0.0):
         raise ValueError("unbounded pathloss is singular at d = 0")
     with np.errstate(over="ignore"):

@@ -57,7 +57,11 @@ def erfcx(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"erfcx requires a finite argument, got {x}")
     if x >= _ERFC_SWITCH:
-        return 1.0 / (_SQRT_PI * (x + erfc_cf_tail(x)))
+        f = x + erfc_cf_tail(x)
+        # sqrt(pi) f overflows from about x = 1.0142e308; erfcx is subnormal
+        if _SQRT_PI * f < math.inf:
+            return 1.0 / (_SQRT_PI * f)
+        return (1.0 / _SQRT_PI) / f
     # below about -26.6 the product is inf, or math.exp raises first
     try:
         y = math.exp(x * x) * math.erfc(x)

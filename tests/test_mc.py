@@ -193,19 +193,24 @@ class TestSampleNetwork:
     def test_rows_are_the_kernel_distances(self, radius_of):
         # each realization is its row of the square roots of the squared
         # distances the coverage kernel reads its gains from, over the
-        # stations within R^2, sorted, the serving station first
+        # stations within R^2, sorted, the serving station first; the
+        # stations past R^2 have d^2 = inf and are dropped
         lam = 0.3
         params = SimParams(window_radius=radius_of(lam), trials=1, seed=42)
         a = math.pi * lam
         d2_max = params.window_radius**2
-        rings = mc._rings(block_generator(42, 0), a, a * d2_max)
+        rings = mc._rings(block_generator(42, 0), a, d2_max)
         d2_0, h0 = next(rings)
         per_row = [([d2_0[row]], [h0[row]]) for row in range(B)]
-        for counts, d2, h, _ in rings:
+        absent = 0
+        for counts, d2, h in rings:
+            assert np.all((d2 <= d2_max) | (d2 == math.inf))
+            absent += int(np.count_nonzero(d2 == math.inf))
             for row, (d2_row, h_row) in enumerate(zip(np.split(d2, np.cumsum(counts)[:-1]),
                                                       np.split(h, np.cumsum(counts)[:-1]))):
                 per_row[row][0].extend(d2_row[d2_row <= d2_max])
                 per_row[row][1].extend(h_row[d2_row <= d2_max])
+        assert absent > 0
         rows = sample_block(NetworkConfig(lam, 4.0, 10.0), params, 0)
         assert len(rows) == B
         for r, (d2_row, h_row) in zip(rows, per_row):
@@ -238,20 +243,75 @@ class TestRingStream:
         assert stats.kstest(pit, "uniform").pvalue > 1e-3
 
     def test_positions_are_uniform_within_a_ring(self):
-        # ring 0 runs from each row's serving station to W, ring 1 is full;
+        # ring 0 runs from each row's serving station to W, and ring k >= 1
+        # is the whole [k W, (k+1) W), the last one cut at the window edge;
         # at pi lam = 1 the yielded squared distances are the scales
-        rel = {0: [], 1: []}
+        s_max = mc.WINDOW_K**2
+        rel = {}
         for block in range(4):
-            rings = mc._rings(block_generator(9, block), 1.0, mc.WINDOW_K**2)
+            rings = mc._rings(block_generator(9, block), 1.0, s_max)
             s0, _ = next(rings)
-            for k in (0, 1):
-                counts, s, _, edge = next(rings)
-                start = np.repeat(np.maximum(s0, edge - mc._RING), counts)
-                rel[k].append((s - start) / (edge - start))
+            for k, (counts, s, _) in enumerate(rings):
+                inner = np.repeat(s0 if k == 0 else np.full(B, k * mc._RING), counts)
+                inside = s <= s_max
+                s, inner = s[inside], inner[inside]
+                # every row's stations lie in its ring
+                assert np.all(inner <= s) and np.all(s < (k + 1) * mc._RING), k
+                outer = min((k + 1) * mc._RING, s_max)
+                rel.setdefault(k, []).append((s - inner) / (outer - inner))
+        assert sorted(rel) == list(range(8))
         for k, u in rel.items():
-            u = np.concatenate(u)
-            assert u.min() >= 0.0 and u.max() < 1.0
-            assert stats.kstest(u, "uniform").pvalue > 1e-3, k
+            assert stats.kstest(np.concatenate(u), "uniform").pvalue > 1e-3, k
+
+    def test_ring_0_is_the_only_partial_ring(self):
+        # the largest uniform, 1 - 2^-53, puts every serving station at the
+        # largest scale it can reach, 53 ln 2 = 36.7, still inside ring 0
+        class TopServingUniforms:
+            def __init__(self, rng):
+                self.rng, self.served = rng, False
+
+            def random(self, size):
+                if self.served:
+                    return self.rng.random(size)
+                self.served = True
+                return np.full(size, 1.0 - 2.0**-53)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rings = mc._rings(TopServingUniforms(block_generator(4, 0)), 1.0, mc.WINDOW_K**2)
+        s0, _ = next(rings)
+        assert np.all(s0 == 53.0 * math.log(2.0))
+        assert s0[0] < mc._RING
+        for k, mean in ((0, mc._RING - s0[0]), (1, mc._RING)):
+            counts, s, _ = next(rings)
+            assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / B), k
+            inner = s0[0] if k == 0 else mc._RING
+            assert inner <= s.min() and s.max() < (k + 1) * mc._RING, k
+
+    @pytest.mark.parametrize("s_max", [
+        pytest.param(50.0, id="inside-first-ring"),
+        pytest.param(100.0, id="mid-ring-window"),
+        pytest.param(mc.WINDOW_K**2, id="default-window"),
+    ])
+    def test_stations_past_the_window_are_absent(self, s_max):
+        # past 54 ln 2 = 37.4, -expm1(-s_max) rounds to 1 and the serving
+        # draw does not depend on the window, so the window that ends at the
+        # last ring's outer edge draws the same stations and marks none
+        whole = list(mc._rings(block_generator(3, 0), 1.0,
+                               math.ceil(s_max / mc._RING) * mc._RING))
+        cut = list(mc._rings(block_generator(3, 0), 1.0, s_max))
+        assert len(cut) == len(whole)
+        assert all(np.array_equal(x, y) for x, y in zip(cut[0], whole[0]))
+        last = len(cut) - 2
+        for k, ((counts, s, h), (counts_w, s_w, h_w)) in enumerate(zip(cut[1:], whole[1:])):
+            assert np.array_equal(counts, counts_w) and np.array_equal(h, h_w)
+            assert np.all(np.isfinite(s_w))
+            past = s_w > s_max
+            assert past.any() == (k == last), k
+            # non-finite scales occur in the last ring only, exactly past s_max
+            assert np.array_equal(s[~past], s_w[~past])
+            assert np.all(s[past] == math.inf)
 
     def test_default_window_ends_inside_its_last_ring(self):
         # WINDOW_K^2 rounds either side of 576 with the density: both round

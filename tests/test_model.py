@@ -71,13 +71,19 @@ class TestPathlossGain:
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(model=st.sampled_from(list(PathlossModel)), u=st.floats(-12.0, 4.0),
-           d=st.one_of(st.just(0.0), st.floats(1e-320, 1e308)), negative=st.booleans())
+           d=st.one_of(st.just(0.0), st.just(math.nan), st.floats(1e-320, 1e308)),
+           negative=st.booleans())
     # d^-alpha overflows here: inf, with no warning
     @example(model=PathlossModel.UNBOUNDED, u=math.log10(2.0), d=1e-100, negative=False)
+    @example(model=PathlossModel.BOUNDED_G1, u=0.0, d=math.nan, negative=False)
+    # alpha = 2 + 10^nan is NaN
+    @example(model=PathlossModel.BOUNDED_G2, u=math.nan, d=1.0, negative=False)
     def test_every_distance_has_a_gain_or_a_value_error(self, model, u, d, negative):
         alpha = 2.0 + 10.0 ** u
         d = -d if negative else d
-        refused = d < 0.0 or (model is PathlossModel.UNBOUNDED and d == 0.0)
+        # phrased so that NaN is refused
+        refused = (not d >= 0.0 or not alpha > 2.0
+                   or (model is PathlossModel.UNBOUNDED and d == 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for arg in (d, np.array([d])):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -95,6 +96,18 @@ class TestErfc:
         # past 1e8 the continued fraction is x itself to double precision
         for x in (1e8, 1557384392.2667587, 3761445932.6244283, 6.49e149):
             assert erfcx(x) == pytest.approx(1.0 / (x * math.sqrt(math.pi)), rel=1e-15)
+
+
+    @pytest.mark.parametrize("x", [1.0142e308, 1.5e308, sys.float_info.max])
+    def test_subnormal_results_at_the_top_of_the_range(self, x):
+        # sqrt(pi) x overflows from about 1.0142e308, where erfcx is a
+        # subnormal; mpmath's erfc does not reach these arguments, and the
+        # asymptotic series (1 - 1/(2 x^2) + ...)/(sqrt(pi) x) drops terms
+        # far below half the subnormal spacing, 2^-1075
+        with mpmath.workdps(40):
+            big = mpmath.mpf(x)
+            ref = (1 - 1 / (2 * big**2)) / (mpmath.sqrt(mpmath.pi) * big)
+            assert abs(erfcx(x) - ref) <= mpmath.mpf(2) ** -1075, x
 
 
 class TestHypergeometric:
