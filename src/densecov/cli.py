@@ -4,11 +4,13 @@ simulator-vs-formula validation.  All output is CSV (stdout or a file).
 Exit codes: 0 success, 1 validation disagreement, 2 usage error (also a
 validation without an informative row), 3 numerical failure.
 
-Each refusal has one path.  A flag's own range is its argparse type, so a
-bad value prints argparse's usage and an ``error:`` line naming the token.
-A command checks only what relates two flags.  ``main`` maps the library's
-UnsupportedPathlossError to exit 2 and its arithmetic and runtime failures
-to exit 3, each on one ``error:`` line.
+Each refusal has one path.  A flag's own range is its argparse type, and
+that of ``--model`` is the command's own choices (``validate`` offers only
+the models with an analytic curve), so a bad value prints argparse's usage
+and an ``error:`` line naming the token.  A command checks only what
+relates two flags.  ``main`` maps the library's UnsupportedPathlossError
+to exit 2 and its arithmetic and runtime failures to exit 3, each on one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -62,17 +64,24 @@ def db_to_linear(db: float) -> float:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (str, int)):  # ints exactly: a seed reaches 2^64 - 1
+        return str(value)
     return "%.12g" % value
 
 
-def _write(lines, path: str):
+def _write(args, settings: dict, notes: list[str], rows: list[dict]):
+    """The one CSV writer: a comment line with the run's settings, the note
+    lines, a header from the rows' keys and one record per row."""
+    first = {"alpha": args.alpha, "tau_db": args.tau_db, "model": args.model, **settings}
+    lines = [f"# densecov {args.command}: "
+             + " ".join(f"{key}={_fmt(value)}" for key, value in first.items()),
+             *notes, ",".join(rows[0])]
+    lines += [",".join(map(_fmt, row.values())) for row in rows]
     text = "\n".join(lines) + "\n"
-    if path == "stdout":
+    if args.output == "stdout":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
 
 
@@ -152,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="Monte Carlo vs analytic comparison grid")
     # by default the comparison covers every model with an analytic curve
     _common_flags(p_val, density_range=False, points=False,
-                  model_choices=("all", "upm", "g1", "g2", "minb"),
+                  model_choices=("all", *(m.value for m in _DEFAULT_VALIDATE_GRID)),
                   model_default="all")
     p_val.add_argument("--mc-model", default=None, choices=["upm", "g1", "g2", "minb"],
                        help="simulate a different model than the analytic one")
@@ -177,18 +186,6 @@ def _check_mc_work(trials: int, lams) -> str | None:
             return (f"--trials {trials} at {lam:g} BS/m^2 would draw {stations:.3g} "
                     f"stations, above the cap of {cap:.3g}")
     return None
-
-
-def _header_lines(args) -> list[str]:
-    assumed = ", ".join("%g" % v for v in ASSUMED_TAU_DB)
-    return [
-        f"# densecov {args.command}: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
-        f"model={args.model} seed={args.seed} "
-        f"trials={args.trials} window_k={_fmt(mc.WINDOW_K)} rel_tol={_fmt(analytic._REL_TOL)}",
-        f"# reference curves assume SIR thresholds of {{{assumed}}} dB; "
-        f"this run uses tau_db={_fmt(args.tau_db)}",
-        ",".join(SWEEP_COLUMNS),
-    ]
 
 
 def _analytic_cp(cfg, model):
@@ -242,9 +239,11 @@ def cmd_sweep(args) -> int:
                 scale = lam * math.log2(1.0 + tau)
                 row["ase_mc_mean"] = scale * est.mean
         rows.append(row)
-    lines = _header_lines(args)
-    lines += [",".join(map(_fmt, r.values())) for r in rows]
-    _write(lines, args.output)
+    assumed = ", ".join("%g" % v for v in ASSUMED_TAU_DB)
+    _write(args, {"seed": args.seed, "trials": args.trials, "window_k": mc.WINDOW_K,
+                  "rel_tol": analytic._REL_TOL},
+           [f"# reference curves assume SIR thresholds of {{{assumed}}} dB; "
+            f"this run uses tau_db={_fmt(args.tau_db)}"], rows)
     return EXIT_OK
 
 
@@ -263,16 +262,11 @@ def cmd_optimal_density(args) -> int:
     cfg_closed = NetworkConfig(lam_closed, args.alpha, tau)
     ase_at_closed = analytic.ase(cfg_closed, analytic.cp_for_model(cfg_closed, model)).value
     ase_up_at_closed = analytic.ase_upper(cfg_closed).value
-    lines = [
-        f"# densecov optimal-density: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
-        f"model={args.model} bracket=[{_fmt(args.lambda_min)},{_fmt(args.lambda_max)}]",
-        "model,lambda_star_numeric,ase_at_numeric,lambda_star_closed,"
-        "ase_at_closed,ase_upper_at_closed,relative_gap",
-        ",".join(_fmt(v) for v in (
-            args.model, lam_num, ase_num, lam_closed, ase_at_closed,
-            ase_up_at_closed, abs(lam_num - lam_closed) / lam_closed)),
-    ]
-    _write(lines, args.output)
+    row = {"model": args.model, "lambda_star_numeric": lam_num, "ase_at_numeric": ase_num,
+           "lambda_star_closed": lam_closed, "ase_at_closed": ase_at_closed,
+           "ase_upper_at_closed": ase_up_at_closed,
+           "relative_gap": abs(lam_num - lam_closed) / lam_closed}
+    _write(args, {"bracket": f"[{_fmt(args.lambda_min)},{_fmt(args.lambda_max)}]"}, [], [row])
     return EXIT_OK
 
 
@@ -280,36 +274,21 @@ def cmd_validate(args) -> int:
     if args.trials < VALIDATE_MIN_TRIALS:
         return _usage_error(f"--trials must be >= {VALIDATE_MIN_TRIALS} for validation")
     if args.model == "all":
-        analytic_models = [PathlossModel.UNBOUNDED, PathlossModel.BOUNDED_G1,
-                           PathlossModel.BOUNDED_G2]
+        analytic_models = list(_DEFAULT_VALIDATE_GRID)
         if args.mc_model is not None:
             return _usage_error("--mc-model needs an explicit --model on the analytic side")
     else:
         analytic_models = [PathlossModel.from_tag(args.model)]
-        # here, before the default grid lookup below, which has no minb entry
-        if analytic_models[0] is PathlossModel.MIN_BOUNDED:
-            return _usage_error("--model minb has no analytic coverage to validate against")
     tau = db_to_linear(args.tau_db)
 
     if problem := _check_mc_work(args.trials, args.lambda_grid or ()):
         return _usage_error(problem)
 
-    lines = [
-        f"# densecov validate: alpha={_fmt(args.alpha)} tau_db={_fmt(args.tau_db)} "
-        f"model={args.model} mc_model={args.mc_model or args.model} "
-        f"trials={args.trials} seed={args.seed} window_k={_fmt(mc.WINDOW_K)}",
-        "model_analytic,model_mc,lambda_bs,cp_analytic,cp_mc_mean,cp_mc_stderr,"
-        "z_score,within_3se,expected_hits,informative",
-    ]
-    all_ok = True
-    weak = []
-    powered = False
-    top = (-1.0, 0.0)  # (cp_analytic, density) of the row with most power
+    rows = []
     for analytic_model in analytic_models:
         mc_model = analytic_model if args.mc_model is None \
             else PathlossModel.from_tag(args.mc_model)
-        lams = args.lambda_grid or _DEFAULT_VALIDATE_GRID[analytic_model]
-        for lam in lams:
+        for lam in args.lambda_grid or _DEFAULT_VALIDATE_GRID[analytic_model]:
             cfg = NetworkConfig(lam, args.alpha, tau)
             cp = analytic.cp_for_model(cfg, analytic_model)
             params = mc.SimParams(window_radius=mc.window_radius(lam),
@@ -320,24 +299,21 @@ def cmd_validate(args) -> int:
             se = math.sqrt(max(cp.value * (1.0 - cp.value),
                                est.mean * (1.0 - est.mean)) / args.trials)
             z = (est.mean - cp.value) / se if se > 0.0 else 0.0
-            ok = abs(z) <= 3.0
-            all_ok = all_ok and ok
             hits = args.trials * cp.value
-            informative = hits >= VALIDATE_MIN_HITS
-            powered = powered or informative
-            if not informative:
-                weak.append(f"{analytic_model.value}@{_fmt(lam)}")
-            top = max(top, (cp.value, lam))
-            lines.append(",".join(_fmt(v) for v in (
-                analytic_model.value, mc_model.value, lam, cp.value, est.mean,
-                est.stderr, z, int(ok), hits, int(informative))))
-    if weak:
-        lines.insert(1, f"# note: uninformative rows (expected_hits below "
-                        f"{VALIDATE_MIN_HITS}, too few to show a disagreement): "
-                        f"{' '.join(weak)}")
-    _write(lines, args.output)
-    if not powered:
-        cp_top, lam_top = top
+            rows.append({"model_analytic": analytic_model.value, "model_mc": mc_model.value,
+                         "lambda_bs": lam, "cp_analytic": cp.value, "cp_mc_mean": est.mean,
+                         "cp_mc_stderr": est.stderr, "z_score": z,
+                         "within_3se": int(abs(z) <= 3.0), "expected_hits": hits,
+                         "informative": int(hits >= VALIDATE_MIN_HITS)})
+    weak = [f"{r['model_analytic']}@{_fmt(r['lambda_bs'])}" for r in rows
+            if not r["informative"]]
+    notes = [f"# note: uninformative rows (expected_hits below {VALIDATE_MIN_HITS}, "
+             f"too few to show a disagreement): {' '.join(weak)}"] if weak else []
+    _write(args, {"mc_model": args.mc_model or args.model, "trials": args.trials,
+                  "seed": args.seed, "window_k": mc.WINDOW_K}, notes, rows)
+    if not any(r["informative"] for r in rows):
+        # the row with most power
+        cp_top, lam_top = max((r["cp_analytic"], r["lambda_bs"]) for r in rows)
         if cp_top > 0.0:
             trials = math.ceil(VALIDATE_MIN_HITS / cp_top)
             need = f"--trials {trials}" + (
@@ -348,7 +324,7 @@ def cmd_validate(args) -> int:
             f"no row is informative: trials x cp_analytic is below {VALIDATE_MIN_HITS} "
             f"on every row; the largest cp_analytic, {cp_top:.3g} at {lam_top:g} BS/m^2, "
             f"needs {need}")
-    return EXIT_OK if all_ok else EXIT_DISAGREEMENT
+    return EXIT_OK if all(r["within_3se"] for r in rows) else EXIT_DISAGREEMENT
 
 
 def main(argv=None) -> int:

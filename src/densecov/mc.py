@@ -118,6 +118,9 @@ class Realization:
     fading: np.ndarray         # (n,) unit-mean exponential gains
 
     def __post_init__(self):
+        # lists and tuples become the float arrays the checks below read
+        self.distances = np.asarray(self.distances, dtype=float)
+        self.fading = np.asarray(self.fading, dtype=float)
         if self.distances.shape[0] == 0:
             raise ValueError("realization must contain at least one station")
         if self.distances.shape != self.fading.shape:

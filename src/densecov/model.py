@@ -76,8 +76,7 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
     with np.errstate(over="ignore"):
         d2 = np.multiply(arr, arr, out=np.empty_like(arr))
     out = _gain(model, alpha, d2, d2)
-    scalar = np.isscalar(d) or getattr(d, "ndim", 0) == 0
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -144,8 +144,9 @@ def hyf(y, b: float):
     or array; strictly decreasing in y from H_b(0) = 1."""
     if not 0.0 < b < 1.0:
         raise ValueError(f"hypergeometric shape b must lie in (0, 1), got {b}")
-    scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    arr = np.asarray(y, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("hypergeometric argument must be finite and >= 0")
     out = np.empty_like(arr)

@@ -149,6 +149,8 @@ class TestFlagValidation:
         (["validate", "--lambda-grid", "1,apple"], "'apple'"),
         (["cp-sweep", "--points", "0"], "'0'"),
         (["cp-sweep", "--alpha", "nan"], "'nan'"),
+        # validate's choices hold only the models with an analytic curve
+        (["validate", "--model", "minb"], "invalid choice: 'minb'"),
     ])
     def test_flag_errors_name_the_flag_and_token(self, capsys, argv, token):
         with pytest.raises(SystemExit):
@@ -184,6 +186,38 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as err:
             main(["cp-sweep", "--model", "bogus"])
         assert err.value.code == 2
+
+
+# the columns of each command's CSV, in order
+CSV_COLUMNS = {
+    "cp-sweep": SWEEP_COLUMNS,
+    "ase-sweep": SWEEP_COLUMNS,
+    "optimal-density": ("model", "lambda_star_numeric", "ase_at_numeric",
+                        "lambda_star_closed", "ase_at_closed", "ase_upper_at_closed",
+                        "relative_gap"),
+    "validate": ("model_analytic", "model_mc", "lambda_bs", "cp_analytic", "cp_mc_mean",
+                 "cp_mc_stderr", "z_score", "within_3se", "expected_hits", "informative"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cp-sweep", "--points", "2", "--trials", "100"],
+    ["ase-sweep", "--points", "2"],
+    ["optimal-density"],
+    # the g1 row at 2 BS/m^2 is uninformative, which adds a note
+    ["validate", "--model", "g1", "--lambda-grid", "0.001,2"],
+])
+def test_csv_layout(capsys, argv):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0].startswith(f"# densecov {argv[0]}: alpha=4 tau_db=10 model=")
+    if argv[0] == "validate":
+        assert lines[1].startswith("# note: ")
+    records = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert tuple(records[0]) == CSV_COLUMNS[argv[0]]
+    assert len(records) > 1
+    assert all(len(r) == len(records[0]) for r in records)
 
 
 class TestCpSweep:

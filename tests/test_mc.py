@@ -184,6 +184,17 @@ class TestSampleNetwork:
             with pytest.raises(ValueError):
                 Realization(np.array(distances), np.array(fading))
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_realization_reads_sequences_as_arrays(self, seq):
+        r = Realization(seq([1.0, 2.0]), seq([0.5, 0.7]))
+        ref = Realization(np.array([1.0, 2.0]), np.array([0.5, 0.7]))
+        for got, want in ((r.distances, ref.distances), (r.fading, ref.fading)):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert sir_sample(r, PathlossModel.BOUNDED_G1, 4.0) \
+            == sir_sample(ref, PathlossModel.BOUNDED_G1, 4.0)
+        with pytest.raises(ValueError):
+            Realization(seq([1.0, 0.5]), seq([1.0, 1.0]))
+
     @pytest.mark.parametrize("radius_of", [
         pytest.param(window_radius, id="default-window"),
         pytest.param(lambda lam: math.sqrt(2.0 / (math.pi * lam)), id="two-station-window"),

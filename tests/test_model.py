@@ -54,6 +54,14 @@ class TestPathlossGain:
         if model is not PathlossModel.UNBOUNDED:
             assert np.all(g <= 1.0)
 
+    @pytest.mark.parametrize("model", list(PathlossModel))
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_sequences_read_as_arrays(self, model, seq):
+        d = [0.5, 1.0, 2.0]
+        g = pathloss_gain(model, 4.0, seq(d))
+        assert isinstance(g, np.ndarray)
+        assert np.array_equal(g, pathloss_gain(model, 4.0, np.array(d)))
+
     @pytest.mark.parametrize("model", [PathlossModel.BOUNDED_G1,
                                        PathlossModel.BOUNDED_G2,
                                        PathlossModel.MIN_BOUNDED])

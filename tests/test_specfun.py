@@ -232,6 +232,14 @@ class TestMonotoneFunctionals:
         vals = f3(self.GRID, alpha)
         assert np.all(np.diff(vals) < 0.0)
 
+    @pytest.mark.parametrize("fn", [f1, f2, f3])
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_sequences_read_as_arrays(self, fn, seq):
+        x = [0.1, 1.0, 10.0]
+        got = fn(seq(x), 4.0)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, fn(np.array(x), 4.0))
+
     def test_f2_at_zero_alpha_four(self):
         # both families equal 1 at x = 0, so the value is 1/2 - 1/3
         assert f2(0.0, 4.0) == pytest.approx(1.0 / 6.0, abs=1e-14)
