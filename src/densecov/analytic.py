@@ -117,16 +117,18 @@ def _leggauss(n: int):
 
 @lru_cache(maxsize=_MAX_NODE_DOUBLINGS + 1)
 def _origin_panel_rule(nodes: int):
-    """Nodes and weights in v of the composite rule on [0, _V_MAX], which
-    every density shares; read-only."""
+    """Nodes v and weights of the composite rule on [0, _V_MAX], with the
+    integrand's density-free terms -(v*v) and 2 v, which every density
+    shares; all four read-only."""
     edges = np.concatenate([[0.0], _V_MAX * 2.0 ** -np.arange(_PANEL_LEVELS, -1, -1.0)])
     mids, halfs = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     t, w = _leggauss(nodes)
     v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
     wts = (halfs[:, None] * w[None, :]).ravel()
-    v.flags.writeable = False
-    wts.flags.writeable = False
-    return v, wts
+    rule = (v, wts, -(v * v), 2.0 * v)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _pi_lambda(lam: float) -> float:
@@ -145,13 +147,12 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
     sqrt_a = math.sqrt(_pi_lambda(lam))
 
     def evaluate(nodes: int) -> float:
-        v, wts = _origin_panel_rule(nodes)
+        v, wts, neg_v2, two_v = _origin_panel_rule(nodes)
         x = v / sqrt_a
         # the exponent is nonnegative, so one that overflows to +inf is a
         # zero integrand
         with np.errstate(over="ignore"):
-            log_integrand = -(v * v) - exponent(x)
-            return float(wts @ (2.0 * v * np.exp(log_integrand)))
+            return float(wts @ (two_v * np.exp(neg_v2 - exponent(x))))
 
     nodes = _PANEL_NODES
     prev = evaluate(nodes)
@@ -199,13 +200,21 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     x2 = x * x
     out = np.empty_like(x)
     near = w <= 0.5
-    out[near] = k / (1.0 + tau) * x2[near] * specfun.hyf_series(w[near], b + 1.0)
-    far = ~near
-    xaf = xa[far]
-    grow = np.where(np.isinf(xaf), x2[far], (1.0 + xaf) ** (2.0 / alpha))
-    out[far] = k * (b * math.pi / math.sin(math.pi * b) * grow * (tau + u[far]) ** -b
-                    - b / (1.0 - b) * x2[far] / (1.0 + tau)
-                    * specfun.hyf_series(1.0 - w[far], 2.0 - b))
+    n_near = int(np.count_nonzero(near))
+    # a branch that holds every node reads and writes through the full index
+    # (...), which gathers and scatters nothing; one that holds none is
+    # skipped.  For tau >= 1 the near branch is empty but where w rounds to
+    # 1/2 at tau = 1.
+    if n_near:
+        i = near if n_near < near.size else ...
+        out[i] = k / (1.0 + tau) * x2[i] * specfun.hyf_series(w[i], b + 1.0)
+    if n_near < near.size:
+        i = ~near if n_near else ...
+        xai = xa[i]
+        grow = np.where(np.isinf(xai), x2[i], (1.0 + xai) ** (2.0 / alpha))
+        out[i] = k * (b * math.pi / math.sin(math.pi * b) * grow * (tau + u[i]) ** -b
+                      - b / (1.0 - b) * x2[i] / (1.0 + tau)
+                      * specfun.hyf_series(1.0 - w[i], 2.0 - b))
     return out
 
 

@@ -5,12 +5,11 @@ Exit codes: 0 success, 1 validation disagreement, 2 usage error (also a
 validation without an informative row), 3 numerical failure.
 
 Each refusal has one path.  A flag's own range is its argparse type, and
-that of ``--model`` is the command's own choices (``validate`` offers only
-the models with an analytic curve), so a bad value prints argparse's usage
-and an ``error:`` line naming the token.  A command checks only what
-relates two flags.  ``main`` maps the library's UnsupportedPathlossError
-to exit 2 and its arithmetic and runtime failures to exit 3, each on one
-``error:`` line.
+that of ``--model`` is the command's own choices (``validate`` and
+``optimal-density`` offer only the models with an analytic curve), so a bad
+value prints argparse's usage and an ``error:`` line naming the token.  A
+command checks only what relates two flags.  ``main`` maps the library's
+arithmetic and runtime failures to exit 3 on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -49,6 +48,9 @@ _DEFAULT_VALIDATE_GRID = {
     PathlossModel.BOUNDED_G1: (1e-3, 0.3),
     PathlossModel.BOUNDED_G2: (1e-3, 0.3),
 }
+# the models with an analytic curve, the only ones validate and
+# optimal-density accept
+_ANALYTIC_MODELS = tuple(m.value for m in _DEFAULT_VALIDATE_GRID)
 
 
 # one CSV record of a density sweep per row; None prints as an empty cell
@@ -155,14 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimal-density", help="ASE-maximizing density report")
     # analytic only: the search sets its own densities and draws nothing
-    _common_flags(p_opt, points=False, simulate=False)
+    _common_flags(p_opt, points=False, simulate=False, model_choices=_ANALYTIC_MODELS)
     p_opt.set_defaults(run=cmd_optimal_density)
 
     p_val = sub.add_parser("validate", help="Monte Carlo vs analytic comparison grid")
     # by default the comparison covers every model with an analytic curve
     _common_flags(p_val, density_range=False, points=False,
-                  model_choices=("all", *(m.value for m in _DEFAULT_VALIDATE_GRID)),
-                  model_default="all")
+                  model_choices=("all", *_ANALYTIC_MODELS), model_default="all")
     p_val.add_argument("--mc-model", default=None, choices=["upm", "g1", "g2", "minb"],
                        help="simulate a different model than the analytic one")
     p_val.add_argument("--lambda-grid", type=_densities, default=None,
@@ -331,9 +332,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except analytic.UnsupportedPathlossError as exc:
-        # a model without the analytic curve the command needs
-        return _usage_error(f"--model {args.model}: {exc}")
     except (ArithmeticError, RuntimeError) as exc:
         # overflows, and quadrature and bracket failures (the only
         # RuntimeErrors); nothing has been written, since every command

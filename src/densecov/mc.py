@@ -121,6 +121,10 @@ class Realization:
         # lists and tuples become the float arrays the checks below read
         self.distances = np.asarray(self.distances, dtype=float)
         self.fading = np.asarray(self.fading, dtype=float)
+        # a 2-d pair would read its first row as the serving station alone
+        for name, arr in (("distances", self.distances), ("fading", self.fading)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
         if self.distances.shape[0] == 0:
             raise ValueError("realization must contain at least one station")
         if self.distances.shape != self.fading.shape:

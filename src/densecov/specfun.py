@@ -16,7 +16,9 @@ F(c; w) = 2F1(1, 1; c; w) = sum_k k!/(c)_k w^k through the Pfaff and
 
 Either series argument is at most 1/2, so the terms fall geometrically at
 least that fast for every y.  A batch is summed in one whole-array loop,
-which stops once the largest argument's term is at most 1e-17.
+which stops once the largest argument's term is strictly below 2^-52.  Every
+sum is at least 1 and each later term is below 2^-53, half an ulp of 1, so
+adding it would round back to the same sum: the stop changes no bit.
 
 erfc itself is the standard library's math.erfc, which is within a few
 ulps of the true value (3.6e-16 worst relative error at 4801 points of
@@ -39,8 +41,11 @@ import numpy as np
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# hyf_series terms at least halve, so the last of 56 is below 2^-56 = 1.4e-17
+# hyf_series terms at least halve, so term k is at most 2^-k and the stop
+# below 2^-52 comes by term 53; every term after the stop is below 2^-53 and
+# leaves the sum, at least 1, unchanged under rounding to nearest
 _SERIES_TERMS = 56
+_SERIES_STOP = 2.0**-52
 
 # erfcx: exp(x^2) erfc(x) below the switch point, Gauss continued fraction
 # above it, evaluated backwards from a fixed depth.
@@ -102,11 +107,14 @@ def hyf_series(w, c: float):
     """F(c; w) = 2F1(1, 1; c; w) = sum_k k!/(c)_k w^k for 0 <= w <= 1/2, c >= 1.
 
     Term k+1 is term k times w (k+1)/(c+k) <= 1/2 and the sum is at least 1,
-    so the sum stops once every entry's last term is at most 1e-17, or after
-    _SERIES_TERMS terms, when each is below 1.4e-17.  Every term grows with w
-    and rounding is monotone, so the largest argument's term is the last to
-    fall that far: one loop carries that term as the scalar t beside the
-    arrays and stops on t alone, so every entry takes the same count of terms.
+    so the sum stops once every entry's last term is strictly below 2^-52:
+    each later term is then below 2^-53, less than half an ulp of any sum,
+    and rounds away.  The stop is strict because a term of exactly 2^-53 is
+    a tie, which rounding to even may settle upwards (c = 1, w = 1/2 reaches
+    it at the sum 2 - 2^-52, which becomes 2).  Every term grows with w and
+    rounding is monotone, so the largest argument's term is the last to fall
+    that far: one loop carries that term as the scalar t beside the arrays
+    and stops on t alone, so every entry takes the same count of terms.
     """
     w = np.asarray(w, dtype=float)
     if w.size == 0:
@@ -123,7 +131,7 @@ def hyf_series(w, c: float):
         np.multiply(term, r, out=term)
         total += term
         t = t * w_max * r
-        if not t > 1e-17:
+        if t < _SERIES_STOP:
             break
     return total
 

@@ -3,7 +3,12 @@
 The quadrature oracles deliberately evaluate defining integrals through
 QUADPACK routes that share nothing with the package's own panel/series
 evaluations.  hyf_series_reference is the plain term-by-term series loop,
-kept as the exact reference for specfun.hyf_series, g1_printed_form is
+kept as the exact reference for specfun.hyf_series, exponent_g2_reference
+is the g2 coverage exponent by boolean masks on that loop, kept as the
+exact reference for analytic._exponent_g2, inline_panel_rule is the
+composite v-rule with its density-free terms built from scratch and
+expectation_reference integrates on it as analytic's quadrature does (the
+two rebuild every cached array on each call), g1_printed_form is
 the paper's closed form of the g1 coverage as printed,
 g1_tail_identity_mp is the package's g1 tail identity at 50 digits, and
 gauss_legendre_mp is mpmath's Gauss-Legendre rule at 40 digits (the same
@@ -16,6 +21,8 @@ import math
 import mpmath
 import numpy as np
 from scipy import integrate
+
+from densecov import analytic
 
 
 def euler_integral(x, b):
@@ -56,6 +63,60 @@ def hyf_series_reference(w, c):
         if not np.any(term > 1e-17):
             break
     return total
+
+
+def exponent_g2_reference(x, lam, alpha, tau):
+    """The inverse-polynomial law's coverage exponent as analytic._exponent_g2
+    defines it, each series branch gathered by a boolean mask, summed by
+    hyf_series_reference and scattered back, whichever branches hold nodes."""
+    x = np.asarray(x, dtype=float)
+    b = 1.0 - 2.0 / alpha
+    k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
+    with np.errstate(over="ignore"):
+        xa = x**alpha
+    u = 1.0 / (1.0 + xa)
+    w = (tau + u) / (1.0 + tau)
+    x2 = x * x
+    out = np.empty_like(x)
+    near = w <= 0.5
+    out[near] = k / (1.0 + tau) * x2[near] * hyf_series_reference(w[near], b + 1.0)
+    far = ~near
+    xaf = xa[far]
+    grow = np.where(np.isinf(xaf), x2[far], (1.0 + xaf) ** (2.0 / alpha))
+    out[far] = k * (b * math.pi / math.sin(math.pi * b) * grow * (tau + u[far]) ** -b
+                    - b / (1.0 - b) * x2[far] / (1.0 + tau)
+                    * hyf_series_reference(1.0 - w[far], 2.0 - b))
+    return out
+
+
+def inline_panel_rule(v_lo, nodes):
+    """The composite v-rule built from scratch on a freshly computed
+    Gauss-Legendre rule, as every call once built it: nodes, weights and the
+    density-free terms -(v*v) and 2 v."""
+    span = analytic._V_MAX - v_lo
+    edges = np.concatenate(
+        [[v_lo], v_lo + span * 2.0 ** -np.arange(analytic._PANEL_LEVELS, -1, -1.0)])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    t, w = analytic._leggauss(nodes)
+    v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
+    wts = (halfs[:, None] * w[None, :]).ravel()
+    return v, wts, -(v * v), 2.0 * v
+
+
+def expectation_reference(exponent, lam):
+    """expectation_over_serving_distance on a rule rebuilt at every node
+    count of every call, with -(v*v) and 2 v formed in each evaluation."""
+    sqrt_a = math.sqrt(math.pi * lam)
+    nodes, prev = analytic._PANEL_NODES, None
+    for _ in range(analytic._MAX_NODE_DOUBLINGS + 1):
+        v, wts, _, _ = inline_panel_rule(0.0, nodes)
+        with np.errstate(over="ignore"):
+            cur = float(wts @ (2.0 * v * np.exp(-(v * v) - exponent(v / sqrt_a))))
+        if prev is not None and abs(cur - prev) <= analytic._REL_TOL * max(abs(cur), 1e-300):
+            return cur
+        nodes, prev = 2 * nodes, cur
+    raise analytic.QuadratureError(f"no convergence at lam={lam:g}")
 
 
 def g1_printed_form(lam, c1, c2, c_hat):

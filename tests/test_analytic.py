@@ -34,8 +34,8 @@ from densecov.analytic import (
 )
 from densecov.model import NetworkConfig, PathlossModel, derived_constants
 
-from oracles import (g1_tail_identity_mp, gauss_legendre_mp, hyf_series_reference,
-                     serving_distance_expectation)
+from oracles import (expectation_reference, exponent_g2_reference, g1_tail_identity_mp,
+                     gauss_legendre_mp, inline_panel_rule, serving_distance_expectation)
 
 A4T10 = dict(alpha=4.0, tau=10.0)
 
@@ -134,20 +134,6 @@ def cfg_at(lam, **over):
     return NetworkConfig(lambda_bs=lam, **base)
 
 
-def inline_panel_rule(v_lo, nodes):
-    """The composite v-rule built from scratch on a freshly computed
-    Gauss-Legendre rule, as every call once built it."""
-    span = analytic._V_MAX - v_lo
-    edges = np.concatenate(
-        [[v_lo], v_lo + span * 2.0 ** -np.arange(analytic._PANEL_LEVELS, -1, -1.0)])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    t, w = analytic._leggauss(nodes)
-    v = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
-    return v, wts
-
-
 class TestQuadratureEngine:
     def test_matches_independent_oracle(self):
         lam = 0.07
@@ -158,11 +144,12 @@ class TestQuadratureEngine:
 
     @pytest.mark.parametrize("nodes", [24, 48, 96, 192])
     def test_cached_origin_rule_is_read_only_and_exact(self, nodes):
-        v, wts = analytic._origin_panel_rule(nodes)
-        assert analytic._origin_panel_rule(nodes)[0] is v
-        ref_v, ref_wts = inline_panel_rule(0.0, nodes)
-        assert np.array_equal(v, ref_v) and np.array_equal(wts, ref_wts)
-        for arr in (v, wts):
+        rule = analytic._origin_panel_rule(nodes)
+        assert analytic._origin_panel_rule(nodes) is rule
+        ref = inline_panel_rule(0.0, nodes)
+        assert len(rule) == len(ref) == 4
+        for arr, ref_arr in zip(rule, ref):
+            assert np.array_equal(arr, ref_arr)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -343,20 +330,39 @@ class TestCpG2:
             assert ase_lower(cfg).value == pytest.approx(ase_ref, rel=1e-12, abs=0.0), lam
 
     def test_series_and_node_cache_change_no_bit(self, monkeypatch):
-        # the same frozen grid, evaluated by the current code and then with
-        # the checked-every-term series and a rule rebuilt on every call
-        cases = [(alpha, tau, lam) for alpha, tau in sorted(CP_G2_FROZEN)
-                 for lam in CP_G2_FROZEN_LAMBDAS]
+        # the frozen grid, thresholds below 1 (nodes on both sides of
+        # w = 1/2) and tau = 1 at alpha = 4 and 100, where w rounds to 1/2
+        # and x^alpha overflows at the far nodes, evaluated by the current
+        # code and then by the exponent of boolean masks over the
+        # checked-every-term series, integrated on a rule rebuilt on every
+        # call
+        pairs = sorted(CP_G2_FROZEN) + [(4.0, 0.1), (4.0, 0.5), (4.0, 1.0), (100.0, 1.0)]
+        cases = [(alpha, tau, lam) for alpha, tau in pairs for lam in CP_G2_FROZEN_LAMBDAS]
 
         def values():
             return [(cp_g2(cfg).raw.hex(), cp_g1_quadrature(cfg).raw.hex())
                     for cfg in (NetworkConfig(lam, alpha, tau) for alpha, tau, lam in cases)]
 
         current = values()
-        monkeypatch.setattr(analytic.specfun, "hyf_series", hyf_series_reference)
-        monkeypatch.setattr(analytic, "_origin_panel_rule",
-                            lambda nodes: inline_panel_rule(0.0, nodes))
+        monkeypatch.setattr(analytic, "_exponent_g2", exponent_g2_reference)
+        monkeypatch.setattr(analytic, "expectation_over_serving_distance",
+                            expectation_reference)
         assert current == values()
+
+    @pytest.mark.parametrize("tau, x", [
+        (0.1, np.geomspace(5.0, 1e3, 50)),                 # near only
+        (10.0, np.geomspace(1e-6, 1e3, 50)),               # far only
+        (0.5, np.geomspace(1e-6, 1e3, 50)),                # both
+        # w rounds to 1/2 at the three largest; x^4 overflows at the last two
+        (1.0, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
+        (0.1, np.float64(20.0)),                           # a scalar, near
+        (10.0, np.float64(0.3)),                           # a scalar, far
+    ], ids=["near", "far", "mixed", "overflow", "scalar-near", "scalar-far"])
+    def test_exponent_takes_each_branch_as_the_masks_do(self, tau, x):
+        got = analytic._exponent_g2(x, 0.3, 4.0, tau)
+        ref = exponent_g2_reference(x, 0.3, 4.0, tau)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
     def test_threshold_to_zero(self):
         assert cp_g2(cfg_at(0.3, tau=1e-12)).value == pytest.approx(1.0, abs=1e-9)

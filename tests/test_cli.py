@@ -149,21 +149,16 @@ class TestFlagValidation:
         (["validate", "--lambda-grid", "1,apple"], "'apple'"),
         (["cp-sweep", "--points", "0"], "'0'"),
         (["cp-sweep", "--alpha", "nan"], "'nan'"),
-        # validate's choices hold only the models with an analytic curve
+        # validate's and optimal-density's choices hold only the models
+        # with an analytic curve
         (["validate", "--model", "minb"], "invalid choice: 'minb'"),
+        (["optimal-density", "--model", "minb"], "invalid choice: 'minb'"),
     ])
     def test_flag_errors_name_the_flag_and_token(self, capsys, argv, token):
         with pytest.raises(SystemExit):
             main(argv)
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"densecov {argv[0]}: error: argument {argv[1]}: {token} ")
-
-    def test_model_without_analytic_curve_is_one_error_line(self, capsys):
-        assert main(["optimal-density", "--model", "minb"]) == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --model minb: ")
-        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,needle", [
         pytest.param(argv, needle, id=f"argv{i}")
@@ -466,13 +461,16 @@ class TestValidate:
 @st.composite
 def analytic_argv(draw):
     """A sweep or optimal-density command line over the ranges the CLI
-    accepts: any finite density, any finite alpha above 2 (2 + 10^u for u
-    in [-12, 4]) and thresholds within +-3000 dB."""
+    accepts: any model of the command's choices, any finite density, any
+    finite alpha above 2 (2 + 10^u for u in [-12, 4]) and thresholds within
+    +-3000 dB."""
     log_lam = st.floats(-300.0, 308.2)
     lo, hi = sorted(10.0 ** draw(log_lam) for _ in range(2))
     command = draw(st.sampled_from(["cp-sweep", "ase-sweep", "optimal-density"]))
+    models = (cli._ANALYTIC_MODELS if command == "optimal-density"
+              else ["upm", "g1", "g2", "minb"])
     argv = [command,
-            "--model", draw(st.sampled_from(["upm", "g1", "g2", "minb"])),
+            "--model", draw(st.sampled_from(models)),
             "--alpha", repr(2.0 + 10.0 ** draw(st.floats(-12.0, 4.0))),
             "--tau-db", repr(draw(st.floats(-3000.0, 3000.0))),
             "--lambda-min", repr(lo), "--lambda-max", repr(hi)]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ class TestSampleNetwork:
                 ([1.0, math.nan], [1.0, 1.0])]:
             with pytest.raises(ValueError):
                 Realization(np.array(distances), np.array(fading))
+
+    @pytest.mark.parametrize("distances, fading, shape", [
+        ([[1.0, 2.0]], [[0.5, 0.7]], "(1, 2)"),
+        (1.0, [0.5], "()"),
+        ([1.0], 0.5, "()"),
+    ], ids=["2-d-pair", "scalar-distance", "scalar-fading"])
+    def test_realization_refuses_fields_that_are_not_1d(self, distances, fading, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-d, got shape {shape}")):
+            Realization(distances, fading)
 
     @pytest.mark.parametrize("seq", [list, tuple])
     def test_realization_reads_sequences_as_arrays(self, seq):
