@@ -323,35 +323,53 @@ def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
     return _cp(raw, "closed_form")
 
 
+def coverage_curves(model: PathlossModel) -> tuple:
+    """The model's coverage curves (exact, lower, upper), None where it has
+    none; looked up at each call, so a wrapper put in this namespace is used."""
+    if model is PathlossModel.UNBOUNDED:
+        return cp_upm, None, None
+    if model is PathlossModel.BOUNDED_G1:
+        return cp_g1_closed, cp_g1_lower, cp_g1_upper
+    if model is PathlossModel.BOUNDED_G2:
+        return cp_g2, cp_g2_lower, cp_g2_upper
+    return None, None, None
+
+
 def cp_for_model(cfg: NetworkConfig, model: PathlossModel) -> CpValue:
     """Analytic coverage dispatcher: closed forms except the quadrature of
     g2; the min(1, d^-alpha) law is simulation-only."""
-    if model is PathlossModel.UNBOUNDED:
-        return cp_upm(cfg)
-    if model is PathlossModel.BOUNDED_G1:
-        return cp_g1_closed(cfg)
-    if model is PathlossModel.BOUNDED_G2:
-        return cp_g2(cfg)
-    raise UnsupportedPathlossError(
-        "min(1, d^-alpha) has no analytic coverage expression; use the simulator"
-    )
+    exact = coverage_curves(model)[0]
+    if exact is None:
+        raise UnsupportedPathlossError(
+            "min(1, d^-alpha) has no analytic coverage expression; use the simulator")
+    return exact(cfg)
 
 
 # ---------------------------------------------------------------------------
 # area spectral efficiency
 # ---------------------------------------------------------------------------
 
+def spectral_efficiency(tau: float) -> float:
+    """log2(1 + tau) by log1p, which keeps its digits where 1 + tau rounds."""
+    return math.log1p(tau) / math.log(2.0)
+
+
+def rate_function(cfg: NetworkConfig) -> float:
+    """lam e^(-kappa_upper lam), the density scaling of the ASE envelopes."""
+    lam = cfg.lambda_bs
+    return lam * math.exp(-derived_constants(cfg.alpha, cfg.tau).kappa_upper * lam)
+
+
 def ase(cfg: NetworkConfig, cp: CpValue) -> AseValue:
     """Throughput density lam * CP * log2(1 + tau)."""
     if not 0.0 <= cp.value <= 1.0:
         raise ValueError(f"coverage must lie in [0, 1], got {cp.value}")
-    return AseValue(cfg.lambda_bs * cp.value * math.log2(1.0 + cfg.tau))
+    return AseValue(cfg.lambda_bs * cp.value * spectral_efficiency(cfg.tau))
 
 
 def ase_upper(cfg: NetworkConfig) -> AseValue:
     """Upper envelope lam log2(1+tau) e^(-kappa_upper lam) / (1 + 2^-a c_hat),
-    the ASE of the g2 upper bound; exactly proportional to the rate function
-    lam e^(-kappa_upper lam)."""
+    the ASE of the g2 upper bound; exactly proportional to rate_function."""
     return ase(cfg, cp_g2_upper(cfg))
 
 
@@ -386,12 +404,15 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float
 
     Works on log-density so rel_tol bounds |lam - lam*|/lam*.  A coarse scan
     first brackets the peak; a maximum sitting on a bracket edge (monotone
-    objective) raises BracketError.
+    objective) raises BracketError, and so does a constant one.
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
     grid = np.geomspace(lo, hi, _SCAN_POINTS)
-    imax = int(np.argmax([fn(g) for g in grid]))
+    scan = [fn(g) for g in grid]
+    if min(scan) == max(scan):
+        raise BracketError(f"objective is constant on the bracket, {scan[0]:g} at every point")
+    imax = int(np.argmax(scan))
     # the scan's best point and its neighbours, clipped to the bracket
     edge_lo = math.log(grid[max(imax - 1, 0)])
     edge_hi = math.log(grid[min(imax + 1, _SCAN_POINTS - 1)])
@@ -504,15 +525,15 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
             f"grid max {grid[-1]:g} does not reach the large-density regime "
             f"(needs >= {10.0 * lam0:g})"
         )
-    rate = math.log2(1.0 + tau)
+    se = spectral_efficiency(tau)
     beta = _g2_tail_gain(alpha, dc.c1)
     q_max = _Q_ROUNDING * (0.5 / (1.0 + 0.5 / beta))  # beta/(1+2 beta), no overflow
-    big_m = rate / (1.0 + 2.0**-alpha * dc.c_hat)
+    big_m = se / (1.0 + 2.0**-alpha * dc.c_hat)
 
     points = []
     for lam in map(float, grid):
         q2q1 = _quadratic_gain_tail(lam, beta, 1.0)[1]
-        lower_ratio = rate / (1.0 + beta) * (1.0 - q2q1)
+        lower_ratio = se / (1.0 + beta) * (1.0 - q2q1)
         # the upper envelope is proportional to its rate function by
         # construction; recompute the ratio where the rate, the bound and
         # the envelope are normal floats, since a subnormal holds too few
@@ -520,7 +541,7 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
         cfg = NetworkConfig(lam, alpha, tau)
         cp_hi = cp_g2_upper(cfg)
         a_u = ase(cfg, cp_hi).value
-        rf = lam * math.exp(-dc.kappa_upper * lam)
+        rf = rate_function(cfg)
         upper_ratio = a_u / rf if min(rf, cp_hi.value, a_u) >= _TINY else big_m
         in_tail = lam >= lam0
         ok = lower_ratio > 0.0 and 0.0 < q2q1 <= q_max \

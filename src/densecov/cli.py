@@ -4,12 +4,14 @@ simulator-vs-formula validation.  All output is CSV (stdout or a file).
 Exit codes: 0 success, 1 validation disagreement, 2 usage error (also a
 validation without an informative row), 3 numerical failure.
 
-Each refusal has one path.  A flag's own range is its argparse type, and
+Each refusal has one path.  A flag's own range is its argparse type (that
+of ``validate --trials`` starts at the trial count its z-test needs), and
 that of ``--model`` is the command's own choices (``validate`` and
 ``optimal-density`` offer only the models with an analytic curve), so a bad
 value prints argparse's usage and an ``error:`` line naming the token.  A
 command checks only what relates two flags.  ``main`` maps the library's
-arithmetic and runtime failures to exit 3 on one ``error:`` line.
+arithmetic and runtime failures to exit 3 on one ``error:`` line.  Every
+formula and each model's curves come from ``analytic``.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ MAX_ABS_DB = 3000.0
 # tens of microseconds, so the caps bound one run to hours, not forever
 MAX_POINTS = 100_000
 MAX_TRIALS = 100_000_000
+# validate and optimal-density accept only the models with an analytic curve
+_ANALYTIC_MODELS = tuple(m.value for m in PathlossModel if analytic.coverage_curves(m)[0])
+# per analytic model, densities where validate's trial floor has power
 _DEFAULT_VALIDATE_GRID = {
     PathlossModel.UNBOUNDED: (1e-2,),
     PathlossModel.BOUNDED_G1: (1e-3, 0.3),
     PathlossModel.BOUNDED_G2: (1e-3, 0.3),
 }
-# the models with an analytic curve, the only ones validate and
-# optimal-density accept
-_ANALYTIC_MODELS = tuple(m.value for m in _DEFAULT_VALIDATE_GRID)
 
 
 # one CSV record of a density sweep per row; None prints as an empty cell
@@ -109,6 +111,8 @@ _decibels = _ranged(float, lambda db: abs(db) <= MAX_ABS_DB,
 _density = _ranged(float, lambda lam: 0.0 < lam < math.inf, "a positive, finite density")
 _points = _ranged(int, lambda n: 1 <= n <= MAX_POINTS, f"an integer in [1, {MAX_POINTS}]")
 _trials = _ranged(int, lambda n: 0 <= n <= MAX_TRIALS, f"an integer in [0, {MAX_TRIALS}]")
+_validate_trials = _ranged(int, lambda n: VALIDATE_MIN_TRIALS <= n <= MAX_TRIALS,
+                           f"an integer in [{VALIDATE_MIN_TRIALS}, {MAX_TRIALS}]")
 _seed = _ranged(int, lambda n: 0 <= n < 2**64, "an integer in [0, 2^64)")
 
 
@@ -147,13 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "base-station density, under bounded and unbounded pathloss.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cp = sub.add_parser("cp-sweep", help="coverage probability over a density grid")
-    _common_flags(p_cp)
-    p_cp.set_defaults(run=cmd_sweep)
-
-    p_ase = sub.add_parser("ase-sweep", help="area spectral efficiency over a density grid")
-    _common_flags(p_ase)
-    p_ase.set_defaults(run=cmd_sweep)
+    for name, what in (("cp-sweep", "coverage probability"),
+                       ("ase-sweep", "area spectral efficiency")):
+        p_sweep = sub.add_parser(name, help=f"{what} over a density grid")
+        _common_flags(p_sweep)
+        p_sweep.set_defaults(run=cmd_sweep)
 
     p_opt = sub.add_parser("optimal-density", help="ASE-maximizing density report")
     # analytic only: the search sets its own densities and draws nothing
@@ -162,13 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="Monte Carlo vs analytic comparison grid")
     # by default the comparison covers every model with an analytic curve
-    _common_flags(p_val, density_range=False, points=False,
+    _common_flags(p_val, density_range=False, points=False, simulate=False,
                   model_choices=("all", *_ANALYTIC_MODELS), model_default="all")
+    p_val.add_argument("--trials", type=_validate_trials, default=VALIDATE_MIN_TRIALS,
+                       help=f"Monte Carlo trials per density "
+                            f"({VALIDATE_MIN_TRIALS:,} to {MAX_TRIALS:,})")
+    p_val.add_argument("--seed", type=_seed, default=42)
     p_val.add_argument("--mc-model", default=None, choices=["upm", "g1", "g2", "minb"],
                        help="simulate a different model than the analytic one")
     p_val.add_argument("--lambda-grid", type=_densities, default=None,
                        help="comma-separated densities; default grid per model")
-    p_val.set_defaults(trials=VALIDATE_MIN_TRIALS, run=cmd_validate)
+    p_val.set_defaults(run=cmd_validate)
     return parser
 
 
@@ -189,19 +195,6 @@ def _check_mc_work(trials: int, lams) -> str | None:
     return None
 
 
-def _analytic_cp(cfg, model):
-    """Coverage, bounds, and envelopes for one grid point; None where the
-    model has no analytic expression."""
-    if model is PathlossModel.MIN_BOUNDED:
-        return None, None, None
-    cp = analytic.cp_for_model(cfg, model)
-    if model is PathlossModel.BOUNDED_G1:
-        return cp, analytic.cp_g1_lower(cfg), analytic.cp_g1_upper(cfg)
-    if model is PathlossModel.BOUNDED_G2:
-        return cp, analytic.cp_g2_lower(cfg), analytic.cp_g2_upper(cfg)
-    return cp, None, None
-
-
 def cmd_sweep(args) -> int:
     with_ase = args.command == "ase-sweep"
     if args.lambda_max < args.lambda_min:
@@ -210,25 +203,25 @@ def cmd_sweep(args) -> int:
     if problem := _check_mc_work(args.trials, grid):
         return _usage_error(problem)
     model = PathlossModel.from_tag(args.model)
+    exact, lower, upper = analytic.coverage_curves(model)
     tau = db_to_linear(args.tau_db)
     rows = []
     for lam in map(float, grid):
         cfg = NetworkConfig(lambda_bs=lam, alpha=args.alpha, tau=tau)
-        cp, cp_lo, cp_hi = _analytic_cp(cfg, model)
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(lambda_bs=lam, model=args.model)
-        if cp is not None:
+        if exact:
+            cp = exact(cfg)
             row["cp_analytic"] = cp.value
-            row["cp_lower"] = None if cp_lo is None else cp_lo.value
-            row["cp_upper"] = None if cp_hi is None else cp_hi.value
+        if lower:
+            row["cp_lower"], row["cp_upper"] = lower(cfg).value, upper(cfg).value
         if with_ase:
-            if cp is not None:
+            if exact:
                 row["ase_analytic"] = analytic.ase(cfg, cp).value
-            if model in (PathlossModel.BOUNDED_G1, PathlossModel.BOUNDED_G2):
+            if lower:
                 row["ase_upper"] = analytic.ase_upper(cfg).value
                 row["ase_lower"] = analytic.ase_lower(cfg).value
-            dc = analytic.derived_constants(cfg.alpha, cfg.tau)
-            row["rate_function"] = lam * math.exp(-dc.kappa_upper * lam)
+            row["rate_function"] = analytic.rate_function(cfg)
         if args.trials > 0:
             params = mc.SimParams(
                 window_radius=mc.window_radius(lam),
@@ -237,8 +230,7 @@ def cmd_sweep(args) -> int:
             row["cp_mc_mean"] = est.mean
             row["cp_mc_stderr"] = est.stderr
             if with_ase:
-                scale = lam * math.log2(1.0 + tau)
-                row["ase_mc_mean"] = scale * est.mean
+                row["ase_mc_mean"] = lam * analytic.spectral_efficiency(tau) * est.mean
         rows.append(row)
     assumed = ", ".join("%g" % v for v in ASSUMED_TAU_DB)
     _write(args, {"seed": args.seed, "trials": args.trials, "window_k": mc.WINDOW_K,
@@ -272,23 +264,16 @@ def cmd_optimal_density(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.trials < VALIDATE_MIN_TRIALS:
-        return _usage_error(f"--trials must be >= {VALIDATE_MIN_TRIALS} for validation")
-    if args.model == "all":
-        analytic_models = list(_DEFAULT_VALIDATE_GRID)
-        if args.mc_model is not None:
-            return _usage_error("--mc-model needs an explicit --model on the analytic side")
-    else:
-        analytic_models = [PathlossModel.from_tag(args.model)]
-    tau = db_to_linear(args.tau_db)
-
+    if args.model == "all" and args.mc_model is not None:
+        return _usage_error("--mc-model needs an explicit --model on the analytic side")
     if problem := _check_mc_work(args.trials, args.lambda_grid or ()):
         return _usage_error(problem)
-
+    analytic_models = list(_DEFAULT_VALIDATE_GRID) if args.model == "all" \
+        else [PathlossModel.from_tag(args.model)]
+    tau = db_to_linear(args.tau_db)
     rows = []
     for analytic_model in analytic_models:
-        mc_model = analytic_model if args.mc_model is None \
-            else PathlossModel.from_tag(args.mc_model)
+        mc_model = PathlossModel.from_tag(args.mc_model or analytic_model.value)
         for lam in args.lambda_grid or _DEFAULT_VALIDATE_GRID[analytic_model]:
             cfg = NetworkConfig(lam, args.alpha, tau)
             cp = analytic.cp_for_model(cfg, analytic_model)

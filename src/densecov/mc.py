@@ -67,9 +67,9 @@ def window_radius(lambda_bs: float) -> float:
     """Simulation window R = max(1 m, WINDOW_K/sqrt(pi lam)), holding about
     WINDOW_K^2 points.
 
-    WINDOW_K keeps the interference lost beyond R well under the Monte Carlo
-    standard error at 1e5 trials for the densities and thresholds the
-    validation grids use (verified by the window-doubling test).
+    Verified at alpha = 4, tau = 10 dB only (acceptance criterion 9); the lost
+    interference decays like R^(2-alpha), so shallow pathloss biases coverage
+    up: z = 10.5 for g2 at alpha = 2.5 with 1e5 trials (ROADMAP item 13).
     """
     if not lambda_bs > 0.0:
         raise ValueError(f"lambda_bs must be positive, got {lambda_bs}")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import example, given, settings, strategies as st
 
 from densecov import analytic, specfun
@@ -409,6 +410,15 @@ class TestCpG2:
     def test_dispatcher_rejects_min_bounded(self):
         with pytest.raises(UnsupportedPathlossError):
             cp_for_model(cfg_at(0.1), PathlossModel.MIN_BOUNDED)
+        # the dispatcher reads the exact curve of each model's curves, and
+        # refuses every model without one
+        for model in PathlossModel:
+            exact = analytic.coverage_curves(model)[0]
+            if exact is None:
+                with pytest.raises(UnsupportedPathlossError):
+                    cp_for_model(cfg_at(0.1), model)
+            else:
+                assert cp_for_model(cfg_at(0.1), model) == exact(cfg_at(0.1))
 
 
 class TestLowDensityInvariance:
@@ -451,6 +461,27 @@ class TestAse:
     def test_rejects_out_of_range_coverage(self):
         with pytest.raises(ValueError):
             ase(cfg_at(1.0), analytic.CpValue(1.5, "closed_form", 1.5))
+
+    def test_spectral_efficiency_matches_mpmath(self):
+        # log2(1 + tau) from 1e-300 to 1e300; written with 1 + tau it loses
+        # digits below 1e-8 and reads 0 below 1.1e-16
+        with mpmath.workdps(40):
+            for tau in np.geomspace(1e-300, 1e300, 601):
+                ref = mpmath.log1p(mpmath.mpf(tau)) / mpmath.log(2)
+                se = analytic.spectral_efficiency(float(tau))
+                assert abs(mpmath.mpf(se) - ref) <= 2 * math.ulp(se), tau
+        # within an ulp of math.log2(11) at 10 dB
+        assert abs(analytic.spectral_efficiency(10.0) - math.log2(11.0)) <= math.ulp(3.0)
+
+    def test_small_threshold_keeps_its_throughput(self):
+        # at -200 dB coverage is 1 at low density and ASE is lam tau/ln 2
+        cfg = cfg_at(1e-6, tau=1e-20)
+        assert ase(cfg, cp_g2(cfg)).value == pytest.approx(1e-26 / math.log(2.0), rel=1e-9)
+
+    def test_rate_function_is_the_envelope_scaling(self):
+        kappa = derived_constants(**A4T10).kappa_upper
+        for lam in (1e-3, 0.3, 2.0, 1e300):
+            assert analytic.rate_function(cfg_at(lam)) == lam * math.exp(-kappa * lam)
 
 
 class TestAseBounds:
@@ -531,6 +562,15 @@ class TestOptimalDensity:
             golden_section_max(lambda lam: lam, 1e-3, 1.0)
         with pytest.raises(BracketError, match="decreasing .* lower edge"):
             golden_section_max(lambda lam: 1.0 / lam, 1e-3, 1.0)
+        # a constant is neither; at 3000 dB every g1 coverage underflows
+        for value in (0.0, 2.5):
+            with pytest.raises(BracketError, match="constant"):
+                golden_section_max(lambda lam: value, 1e-3, 1.0)
+        with pytest.raises(BracketError, match="constant"):
+            optimal_density_numeric(cfg_at(1.0, tau=1e300), PathlossModel.BOUNDED_G1)
+        # at -200 dB coverage is 1 over the bracket, so ASE rises to its edge
+        with pytest.raises(BracketError, match="increasing .* upper edge"):
+            optimal_density_numeric(cfg_at(1.0, tau=1e-20), PathlossModel.BOUNDED_G2)
         # near-zero threshold: coverage ~ 1 everywhere, ASE ~ linear
         template = cfg_at(1.0, tau=1e-9)
         with pytest.raises(BracketError):
@@ -562,6 +602,14 @@ class TestScalingEnvelope:
         for p in report.points:
             assert 0.0 < p.q2_over_q1 < 0.5
             assert p.lower_ratio >= report.m - 1e-15
+
+    def test_small_threshold_passes(self):
+        # log2(1 + tau) rounded to 0 at tau = 1e-20, zeroing m and big_m
+        lam0 = optimal_density_closed(4.0, 1e-20)
+        report = scaling_envelope_check(4.0, 1e-20, np.geomspace(lam0, 10.0 * lam0, 4))
+        assert report.all_pass
+        assert report.big_m == pytest.approx(1e-20 / math.log(2.0), rel=1e-9)
+        assert report.m > 0.0
 
     def test_single_point_grid(self):
         lam0 = optimal_density_closed(**A4T10)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import densecov
-from densecov import cli
+from densecov import analytic, cli
 from densecov.cli import SWEEP_COLUMNS, main
+from densecov.model import PathlossModel
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +91,12 @@ NUMERICAL_FAILURES = [
      "pi*lambda overflows"),
     (["cp-sweep", "--model", "g1", "--alpha", "1e9", "--points", "2"],
      "interference constants lose their order 0 < c2 < c1 at alpha=1e+09"),
+    # coverage is 1 over the bracket at -200 dB, so ASE rises to its edge
+    (["optimal-density", "--model", "g2", "--tau-db", "-200"],
+     "objective is increasing on the bracket; maximum at the upper edge"),
+    # every g1 coverage underflows at 3000 dB: ASE is 0 over the bracket
+    (["optimal-density", "--model", "g1", "--tau-db", "3000"],
+     "objective is constant on the bracket"),
 ]
 
 
@@ -153,6 +160,9 @@ class TestFlagValidation:
         # with an analytic curve
         (["validate", "--model", "minb"], "invalid choice: 'minb'"),
         (["optimal-density", "--model", "minb"], "invalid choice: 'minb'"),
+        # validate's trial floor is its --trials range
+        (["validate", "--trials", "100"], "'100'"),
+        (["validate", "--trials", "100000001"], "'100000001'"),
     ])
     def test_flag_errors_name_the_flag_and_token(self, capsys, argv, token):
         with pytest.raises(SystemExit):
@@ -253,6 +263,13 @@ class TestCpSweep:
         rows = parse_rows(out)
         assert rc == 0
         assert all(r["cp_analytic"] == "" for r in rows)
+        # it is the one model without curves: a model has them exactly when
+        # validate and optimal-density offer it and validate has its grid
+        for model in PathlossModel:
+            has_curves = analytic.coverage_curves(model)[0] is not None
+            assert has_curves == (model is not PathlossModel.MIN_BOUNDED)
+            assert has_curves == (model.value in cli._ANALYTIC_MODELS)
+            assert has_curves == (model in cli._DEFAULT_VALIDATE_GRID)
 
     def test_mc_columns_populated(self, capsys):
         rc, out = run_cli(capsys, "cp-sweep", "--points", "1", "--lambda-min", "0.3",
@@ -351,6 +368,16 @@ class TestAseSweep:
             assert float(r["ase_mc_mean"]) == pytest.approx(
                 float(r["lambda_bs"]) * math.log2(11.0) * cp_mc, rel=2e-11)
 
+    def test_small_threshold_keeps_its_throughput(self, capsys):
+        # at -200 dB, 1 + tau rounds to 1: log1p keeps ASE = lam tau/ln 2
+        rc, out = run_cli(capsys, "ase-sweep", "--model", "g2", "--tau-db", "-200",
+                          "--points", "3")
+        rows = parse_rows(out)
+        assert rc == 0
+        assert float(rows[0]["ase_analytic"]) == pytest.approx(1.44269504089e-26, rel=1e-11)
+        assert all(float(r[col]) > 0.0 for r in rows
+                   for col in ("ase_analytic", "ase_upper", "ase_lower"))
+
     def test_zero_coverage_gives_zero_ase(self, capsys):
         # coverage is about 1e-30 at this density
         rc, out = run_cli(capsys, "ase-sweep", "--points", "1", "--lambda-min", "5",
@@ -367,6 +394,19 @@ class TestAseSweep:
             assert r["ase_upper"] != "" and r["ase_lower"] != "" and r["rate_function"] != ""
             assert float(r["ase_analytic"]) <= float(r["ase_upper"]) + 1e-12
             assert float(r["ase_analytic"]) >= 0.0
+        # every model: the sweep fills the analytic columns exactly where
+        # the model has the curve, and the rate function on every row
+        for model in PathlossModel:
+            exact, lower, upper = analytic.coverage_curves(model)
+            rc, out = run_cli(capsys, "ase-sweep", "--model", model.value, "--points", "2")
+            assert rc == 0
+            for r in parse_rows(out):
+                assert (r["cp_analytic"] != "") == (r["ase_analytic"] != "") \
+                    == (exact is not None), model
+                assert {r[col] != "" for col in ("cp_lower", "cp_upper", "ase_upper",
+                                                 "ase_lower")} == {lower is not None}, model
+                assert (lower is None) == (upper is None)
+                assert r["rate_function"] != ""
 
 
 class TestOptimalDensity:
