@@ -172,6 +172,15 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
 # model-specific exponents
 # ---------------------------------------------------------------------------
 
+# beyond this distance every interferer, farther still, sees 1/(1+d^a) as
+# d^-a in double precision (d^-a < 2^-960), so the g2 exponent is the
+# unbounded law's c1 pi lam x^2 = c1 v^2.  Short of it no product inside the
+# series branches overflows (x^2 <= 2^960, their shape factors below
+# alpha/2 < 2^53); past it they can, and x*x itself does from 2^512.  The
+# quadrature reaches it only below about 2.6e-287 BS/m^2.
+_X_UNBOUNDED = 2.0**480
+
+
 def _exponent_g2(x, lam: float, alpha: float, tau: float):
     """Exponent of the inverse-polynomial model's coverage integrand.
 
@@ -187,10 +196,17 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
 
     K = 2 pi lam tau/(a-2), F = specfun.hyf_series, and
     (1+x^a) D^(-b) = (1+x^a)^(2/a) (tau + u)^(-b).  Where x^a overflows,
-    u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha or
-    distance overflows.
+    u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha
+    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.
     """
     x = np.asarray(x, dtype=float)
+    if x.size and x.max() > _X_UNBOUNDED:
+        huge = x > _X_UNBOUNDED
+        out = np.empty_like(x)
+        out[~huge] = _exponent_g2(x[~huge], lam, alpha, tau)
+        v = x[huge] * math.sqrt(math.pi * lam)
+        out[huge] = derived_constants(alpha, tau).c1 * (v * v)
+        return out
     b = specfun.hyf_shapes(alpha)[0]
     k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
     with np.errstate(over="ignore"):
@@ -245,18 +261,25 @@ def _quadratic_gain_tail(lam: float, c: float, x0: float = 0.0,
     the module docstring, and q, the ratio of its correction term to its
     leading one, which stays finite where the expectation underflows.  With
     0 <= relief <= c, m lies in [c/(2 sqrt(1+c)), c/sqrt(1+c)], below
-    sqrt(c), so no step overflows for any finite c."""
+    sqrt(c), so no step of m or q overflows for any finite c.  z does only
+    where pi lam c nears the square of the float range, and there the
+    prefactor is 0."""
     a = _pi_lambda(lam)
     root_a, s = math.sqrt(a), math.sqrt(1.0 + c)
     m = (c - 0.5 * relief) / s
     z = root_a * m + x0 * root_a * s
     prefactor = math.exp(-a * (x0 * x0 + c * (1.0 + x0) ** 2 - relief * (1.0 + x0)))
+    if z == math.inf:
+        # q has reached its limit sqrt(pi lam) m/z
+        return 0.0, m / (m + x0 * s)
     if x0 == 0.0 and z >= specfun._ERFC_SWITCH:
         # here q = z/f with f = z + t the erfc continued fraction, so
         # 1 - q = t/(z + t) holds no cancellation as q nears 1
         t = specfun.erfc_cf_tail(z)
         return prefactor * (t / (z + t)) / (1.0 + c), z / (z + t)
-    q = math.pi * math.sqrt(float(lam)) * (m * specfun.erfcx(z))
+    # sqrt(pi lam) m is z's first term, so it times erfcx(z) stays below
+    # 1/sqrt(pi) and above q's own size: neither over- nor underflows first
+    q = specfun._SQRT_PI * ((root_a * m) * specfun.erfcx(z))
     return prefactor * (1.0 - q) / (1.0 + c), q
 
 
@@ -465,11 +488,13 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
 
 # q of _quadratic_gain_tail lies below its limit beta/(1+2 beta), by about
 # 1/(2 z^2) relative, so rounding decides the comparison only where z is
-# above 1e7.  There q carries at most 20 u (u = 2^-53): 14 from the
+# above 1e7.  There q carries at most 18 u (u = 2^-53): 12 from the
 # roundings of the square roots, z and the products, z's share passing
-# through erfcx unchanged (its log-derivative is -1 there), and 6 from
-# erfcx itself, by its continued fraction.  The limit carries
-# 4 u, this factor included.  The check allows twice the sum.
+# through erfcx unchanged (its log-derivative is -1 there), so that the
+# rounding of sqrt(pi lam), which scales z and the factor before erfcx
+# alike, cancels; and 6 from erfcx itself, by its continued fraction.  The
+# limit carries 4 u, this factor included.  The check allows over twice
+# the sum.
 _Q_ROUNDING = 1.0 + 48.0 * 2.0**-53
 # the smallest normal float
 _TINY = float(np.finfo(float).tiny)

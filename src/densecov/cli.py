@@ -4,14 +4,16 @@ simulator-vs-formula validation.  All output is CSV (stdout or a file).
 Exit codes: 0 success, 1 validation disagreement, 2 usage error (also a
 validation without an informative row), 3 numerical failure.
 
-Each refusal has one path.  A flag's own range is its argparse type (that
-of ``validate --trials`` starts at the trial count its z-test needs), and
-that of ``--model`` is the command's own choices (``validate`` and
-``optimal-density`` offer only the models with an analytic curve), so a bad
-value prints argparse's usage and an ``error:`` line naming the token.  A
-command checks only what relates two flags.  ``main`` maps the library's
-arithmetic and runtime failures to exit 3 on one ``error:`` line.  Every
-formula and each model's curves come from ``analytic``.
+Each flag variant is declared once, in ``_FLAGS``; a command lists the
+flags it takes.  Each refusal has one path.  A flag's own range is its
+argparse type (that of ``validate --trials`` starts at the trial count its
+z-test needs), and that of ``--model`` is the command's own choices
+(``validate`` and ``optimal-density`` offer only the models with an
+analytic curve), so a bad value prints argparse's usage and an ``error:``
+line naming the token.  A command checks only what relates two flags.
+``main`` maps the library's arithmetic and runtime failures to exit 3 on
+one ``error:`` line.  Every formula and each model's curves come from
+``analytic``.
 """
 
 from __future__ import annotations
@@ -120,28 +122,33 @@ def _densities(text: str) -> tuple[float, ...]:
     return tuple(_density(tok) for tok in text.split(","))
 
 
-def _common_flags(p: argparse.ArgumentParser, density_range: bool = True,
-                  points: bool = True, simulate: bool = True,
-                  model_choices: tuple = ("upm", "g1", "g2", "minb"),
-                  model_default: str = "g1"):
-    # argparse reads a token starting with "-" as a flag unless it matches
-    # this pattern; its own, ^-\d+$|^-\d*\.\d+$, misses -1e1 and -5.  No
-    # flag here starts with a digit, so every such token is a value
-    p._negative_number_matcher = re.compile(r"^-\.?\d")
-    p.add_argument("--alpha", type=_alpha, default=4.0, help="pathloss exponent (> 2)")
-    p.add_argument("--tau-db", type=_decibels, default=10.0, help="SIR threshold in dB")
-    p.add_argument("--model", default=model_default, choices=list(model_choices))
-    if density_range:
-        p.add_argument("--lambda-min", type=_density, default=1e-6, help="BS/m^2")
-        p.add_argument("--lambda-max", type=_density, default=10.0, help="BS/m^2")
-    if points:
-        p.add_argument("--points", type=_points, default=40,
-                       help=f"log-spaced density points (1 to {MAX_POINTS:,})")
-    if simulate:
-        p.add_argument("--trials", type=_trials, default=0,
-                       help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})")
-        p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--output", default="stdout", help="CSV destination path or 'stdout'")
+_MODEL_TAGS = tuple(m.value for m in PathlossModel)
+# keyed by option, or by "<option> <variant>" where commands differ
+_FLAGS = {
+    "--alpha": dict(type=_alpha, default=4.0, help="pathloss exponent (> 2)"),
+    "--tau-db": dict(type=_decibels, default=10.0, help="SIR threshold in dB"),
+    "--model": dict(default="g1", choices=_MODEL_TAGS),
+    "--model analytic": dict(default="g1", choices=_ANALYTIC_MODELS),
+    # by default the comparison covers every model with an analytic curve
+    "--model all": dict(default="all", choices=("all", *_ANALYTIC_MODELS)),
+    "--lambda-min": dict(type=_density, default=1e-6, help="BS/m^2"),
+    "--lambda-max": dict(type=_density, default=10.0, help="BS/m^2"),
+    "--points": dict(type=_points, default=40,
+                     help=f"log-spaced density points (1 to {MAX_POINTS:,})"),
+    "--trials": dict(type=_trials, default=0,
+                     help=f"Monte Carlo trials per point (0: none; at most {MAX_TRIALS:,})"),
+    "--trials validate": dict(type=_validate_trials, default=VALIDATE_MIN_TRIALS,
+                              help=f"Monte Carlo trials per density "
+                                   f"({VALIDATE_MIN_TRIALS:,} to {MAX_TRIALS:,})"),
+    "--seed": dict(type=_seed, default=42),
+    "--output": dict(default="stdout", help="CSV destination path or 'stdout'"),
+    "--mc-model": dict(choices=_MODEL_TAGS,
+                       help="simulate a different model than the analytic one"),
+    "--lambda-grid": dict(type=_densities,
+                          help="comma-separated densities; default grid per model"),
+}
+_SWEEP_FLAGS = ("--alpha", "--tau-db", "--model", "--lambda-min", "--lambda-max", "--points",
+                "--trials", "--seed", "--output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,31 +157,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Downlink coverage and area spectral efficiency versus "
                     "base-station density, under bounded and unbounded pathloss.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, what in (("cp-sweep", "coverage probability"),
-                       ("ase-sweep", "area spectral efficiency")):
-        p_sweep = sub.add_parser(name, help=f"{what} over a density grid")
-        _common_flags(p_sweep)
-        p_sweep.set_defaults(run=cmd_sweep)
-
-    p_opt = sub.add_parser("optimal-density", help="ASE-maximizing density report")
-    # analytic only: the search sets its own densities and draws nothing
-    _common_flags(p_opt, points=False, simulate=False, model_choices=_ANALYTIC_MODELS)
-    p_opt.set_defaults(run=cmd_optimal_density)
-
-    p_val = sub.add_parser("validate", help="Monte Carlo vs analytic comparison grid")
-    # by default the comparison covers every model with an analytic curve
-    _common_flags(p_val, density_range=False, points=False, simulate=False,
-                  model_choices=("all", *_ANALYTIC_MODELS), model_default="all")
-    p_val.add_argument("--trials", type=_validate_trials, default=VALIDATE_MIN_TRIALS,
-                       help=f"Monte Carlo trials per density "
-                            f"({VALIDATE_MIN_TRIALS:,} to {MAX_TRIALS:,})")
-    p_val.add_argument("--seed", type=_seed, default=42)
-    p_val.add_argument("--mc-model", default=None, choices=["upm", "g1", "g2", "minb"],
-                       help="simulate a different model than the analytic one")
-    p_val.add_argument("--lambda-grid", type=_densities, default=None,
-                       help="comma-separated densities; default grid per model")
-    p_val.set_defaults(run=cmd_validate)
+    for name, what, run, flags in (
+            ("cp-sweep", "coverage probability over a density grid", cmd_sweep, _SWEEP_FLAGS),
+            ("ase-sweep", "area spectral efficiency over a density grid", cmd_sweep, _SWEEP_FLAGS),
+            # analytic only: the search sets its own densities and draws nothing
+            ("optimal-density", "ASE-maximizing density report", cmd_optimal_density,
+             ("--alpha", "--tau-db", "--model analytic", "--lambda-min", "--lambda-max",
+              "--output")),
+            ("validate", "Monte Carlo vs analytic comparison grid", cmd_validate,
+             ("--alpha", "--tau-db", "--model all", "--output", "--trials validate", "--seed",
+              "--mc-model", "--lambda-grid"))):
+        p = sub.add_parser(name, help=what)
+        # argparse reads a token starting with "-" as a flag unless it matches
+        # this pattern; its own, ^-\d+$|^-\d*\.\d+$, misses -1e1 and -5.  No
+        # flag here starts with a digit, so every such token is a value
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        for flag in flags:
+            p.add_argument(flag.split()[0], **_FLAGS[flag])
+        p.set_defaults(run=run)
     return parser
 
 

@@ -370,6 +370,14 @@ class TestCpG2:
 
     def test_small_density_approaches_upm(self):
         assert cp_g2(cfg_at(1e-8)).value == pytest.approx(cp_upm(cfg_at(1e-8)).value, abs=2e-2)
+        # x*x overflows at the far nodes below about 1.4e-306, and the
+        # series branches' products from 1.5e-306 at alpha = 4 and 4.6e-306
+        # at alpha = 8; g2 reads as upm there
+        for lam, alpha, tau in itertools.product(
+                (6e-306, 2e-306, 1.3e-306, 1e-308, 1e-320, 5e-324), (4.0, 8.0),
+                (0.01, 1.0, 10.0)):
+            cfg = NetworkConfig(lam, alpha, tau)
+            assert abs(cp_g2(cfg).raw - cp_upm(cfg).raw) <= 1e-12, (lam, alpha, tau)
 
     def test_upper_bound_closed_form(self):
         dc = derived_constants(**A4T10)
@@ -396,6 +404,9 @@ class TestCpG2:
         for alpha, tau in ((1000.0, 10.0), (1023.9, 1e300)):
             cfg = NetworkConfig(1e-6, alpha, tau)
             assert cp_g2_lower(cfg).value == 0.0 and ase_lower(cfg).value == 0.0
+        # here z = sqrt(pi lam)(m + sqrt(1 + beta)) overflows as well
+        cfg = NetworkConfig(5.6e307, 1025.0, 1e100)
+        assert cp_g2_lower(cfg).value == 0.0 and ase_lower(cfg).value == 0.0
 
     def test_lower_bound_below_exact_and_below_g1_lower(self):
         # the restricted tail integral sits under both coverage curves; the
@@ -577,6 +588,11 @@ class TestOptimalDensity:
             optimal_density_numeric(template, PathlossModel.BOUNDED_G1,
                                     bracket=(1e-4, 1e-2))
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    def test_bracket_must_be_an_interval_of_positive_densities(self, lo, hi):
+        with pytest.raises(ValueError, match="bracket"):
+            golden_section_max(lambda lam: lam, lo, hi)
+
     @pytest.mark.parametrize("at", [0.3 / 15.0, 14.7 / 15.0], ids=["first", "last"])
     def test_peak_inside_an_edge_scan_interval(self, at):
         # the 16-point scan peaks on the bracket edge, yet the maximum is
@@ -603,12 +619,15 @@ class TestScalingEnvelope:
             assert 0.0 < p.q2_over_q1 < 0.5
             assert p.lower_ratio >= report.m - 1e-15
 
-    def test_small_threshold_passes(self):
-        # log2(1 + tau) rounded to 0 at tau = 1e-20, zeroing m and big_m
-        lam0 = optimal_density_closed(4.0, 1e-20)
-        report = scaling_envelope_check(4.0, 1e-20, np.geomspace(lam0, 10.0 * lam0, 4))
+    @pytest.mark.parametrize("tau", [1e-20, 1e-210, 1e-300])
+    def test_small_threshold_passes(self, tau):
+        # log2(1 + tau) rounded to 0 at tau = 1e-20, zeroing m and big_m;
+        # below 1e-200 the correction q, about 4 tau, underflowed through
+        # m erfcx(z)
+        lam0 = optimal_density_closed(4.0, tau)
+        report = scaling_envelope_check(4.0, tau, np.geomspace(lam0, 10.0 * lam0, 4))
         assert report.all_pass
-        assert report.big_m == pytest.approx(1e-20 / math.log(2.0), rel=1e-9)
+        assert report.big_m == pytest.approx(tau / math.log(2.0), rel=1e-9)
         assert report.m > 0.0
 
     def test_single_point_grid(self):
@@ -647,7 +666,7 @@ class TestScalingEnvelope:
             scaling_envelope_check(4.0, 10.0, [2.0, 1.0, 30.0])
         with pytest.raises(ValueError):
             scaling_envelope_check(4.0, 10.0, [1.0])  # never reaches the tail
-        for grid in ([1e-6, 1.0, math.nan], [1e-6, 100.0, math.inf]):
+        for grid in ([1e-6, 1.0, math.nan], [1e-6, 100.0, math.inf], [], [[1e-6, 100.0]]):
             with pytest.raises(ValueError, match="lambda_grid"):
                 scaling_envelope_check(4.0, 10.0, grid)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -98,6 +99,49 @@ NUMERICAL_FAILURES = [
     (["optimal-density", "--model", "g1", "--tau-db", "3000"],
      "objective is constant on the bracket"),
 ]
+
+
+MODEL_TAGS = ["upm", "g1", "g2", "minb"]
+ALPHA = ("--alpha", 4.0, None, "2.0000001", "2")
+TAU_DB = ("--tau-db", 10.0, None, "-3e3", "3000.5")
+LAMBDA_MIN = ("--lambda-min", 1e-6, None, "5e-324", "0")
+LAMBDA_MAX = ("--lambda-max", 10.0, None, "1.7e308", "inf")
+SEED = ("--seed", 42, None, "18446744073709551615", "-1")
+OUTPUT = ("--output", "stdout", None, "x.csv", None)
+# each command's options in order, each as (option, default, choices, a token
+# it accepts, a token it refuses); None where it has no choices or takes any
+# token
+PARSER_PIN = {
+    "cp-sweep": [ALPHA, TAU_DB, ("--model", "g1", MODEL_TAGS, "minb", "all"),
+                 LAMBDA_MIN, LAMBDA_MAX, ("--points", 40, None, "100000", "100001"),
+                 ("--trials", 0, None, "100000000", "-1"), SEED, OUTPUT],
+    "optimal-density": [ALPHA, TAU_DB, ("--model", "g1", MODEL_TAGS[:3], "g2", "minb"),
+                        LAMBDA_MIN, LAMBDA_MAX, OUTPUT],
+    "validate": [ALPHA, TAU_DB, ("--model", "all", ["all", *MODEL_TAGS[:3]], "all", "minb"),
+                 OUTPUT, ("--trials", 10_000, None, "10000", "9999"), SEED,
+                 ("--mc-model", None, MODEL_TAGS, "minb", "all"),
+                 ("--lambda-grid", None, None, "0.1,5e-324", "0.1,0")],
+}
+PARSER_PIN["ase-sweep"] = PARSER_PIN["cp-sweep"]
+
+
+def test_parser_options_are_pinned(capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["cp-sweep", "ase-sweep", "optimal-density", "validate"]
+    for command, pin in PARSER_PIN.items():
+        actions = sub.choices[command]._actions
+        assert actions[0].option_strings == ["-h", "--help"]
+        got = [(a.option_strings, a.default, type(a.default), a.choices and list(a.choices))
+               for a in actions[1:]]
+        assert got == [([opt], default, type(default), choices)
+                       for opt, default, choices, _, _ in pin], command
+        for opt, _, _, accepted, refused in pin:
+            parser.parse_args([command, opt, accepted])
+            if refused is not None:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, opt, refused])
+                assert f"error: argument {opt}: " in capsys.readouterr().err, (command, opt)
 
 
 class TestFlagValidation:
@@ -481,6 +525,9 @@ class TestValidate:
         # 2.6e-8 needs 3.9e8 trials, which the trial cap refuses
         assert main(["validate", "--model", "g1", "--lambda-grid", "2"]) == cli.EXIT_USAGE
         assert "above the cap of 100,000,000" in capsys.readouterr().err
+        # g1 coverage underflows to 0 at 1000 BS/m^2, which no count informs
+        assert main(["validate", "--model", "g1", "--lambda-grid", "1000"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith("needs more trials than any count\n")
 
     def test_mc_model_override_requires_explicit_model(self, capsys):
         assert main(["validate", "--mc-model", "g2"]) == cli.EXIT_USAGE
@@ -531,6 +578,12 @@ def analytic_argv(draw):
 # kappa_upper lam overflows in the rate function
 @example(argv=["ase-sweep", "--model", "upm", "--tau-db", "30",
                "--lambda-min", "1e307", "--lambda-max", "1.7e308", "--points", "2"])
+# x*x overflows at the far quadrature nodes of g2
+@example(argv=["cp-sweep", "--model", "g2", "--lambda-min", "1e-320",
+               "--lambda-max", "1e-320", "--points", "1"])
+# the g2 lower bound's z = sqrt(pi lam)(m + sqrt(1 + beta)) overflows
+@example(argv=["cp-sweep", "--model", "g2", "--alpha", "1025", "--tau-db", "1000",
+               "--lambda-min", "5.6e307", "--lambda-max", "5.6e307", "--points", "1"])
 def test_every_analytic_command_ends_in_a_defined_exit_code(argv):
     # exit 1 belongs to validate alone; a traceback, a warning or a nan
     # cell is a defect

@@ -63,6 +63,9 @@ class TestParams:
         assert window_radius(0.3) == pytest.approx(24.0 / math.sqrt(math.pi * 0.3))
         # the floor takes over at very high density
         assert window_radius(1e4) == 1.0
+        for lam in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="lambda_bs must be positive"):
+                window_radius(lam)
 
     @pytest.mark.parametrize("kwargs", [
         dict(window_radius=0.0, trials=10, seed=1),
