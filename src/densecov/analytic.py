@@ -22,7 +22,6 @@ quadrature route for g1.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -152,7 +151,10 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
         # the exponent is nonnegative, so one that overflows to +inf is a
         # zero integrand
         with np.errstate(over="ignore"):
-            return float(wts @ (two_v * np.exp(neg_v2 - exponent(x))))
+            y = np.subtract(neg_v2, exponent(x))
+            np.exp(y, out=y)
+            y *= two_v
+        return float(wts @ y)
 
     nodes = _PANEL_NODES
     prev = evaluate(nodes)
@@ -197,10 +199,13 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     K = 2 pi lam tau/(a-2), F = specfun.hyf_series, and
     (1+x^a) D^(-b) = (1+x^a)^(2/a) (tau + u)^(-b).  Where x^a overflows,
     u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha
-    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.
+    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x holds
+    distances, and the branch choice relies on x >= 0.
     """
     x = np.asarray(x, dtype=float)
-    if x.size and x.max() > _X_UNBOUNDED:
+    if not x.size:
+        return np.empty_like(x)
+    if x.max() > _X_UNBOUNDED:
         huge = x > _X_UNBOUNDED
         out = np.empty_like(x)
         out[~huge] = _exponent_g2(x[~huge], lam, alpha, tau)
@@ -211,26 +216,39 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
     with np.errstate(over="ignore"):
         xa = x**alpha
-    u = 1.0 / (1.0 + xa)
-    w = (tau + u) / (1.0 + tau)
+    one_xa = 1.0 + xa
+    u = 1.0 / one_xa
+    tau_u = tau + u
+    w = tau_u / (1.0 + tau)
     x2 = x * x
+
+    def near(x2, w):
+        return k / (1.0 + tau) * x2 * specfun.hyf_series(w, b + 1.0)
+
+    def far(x2, grow, tau_u, w):
+        return k * (b * math.pi / math.sin(math.pi * b) * grow * tau_u ** -b
+                    - b / (1.0 - b) * x2 / (1.0 + tau)
+                    * specfun.hyf_series(1.0 - w, 2.0 - b))
+
+    # at distances x >= 0, u >= 0 and rounding is monotone, so no w lies
+    # below tau/(1+tau) as rounded, and a node where x^a overflowed (u = 0)
+    # has exactly that w: above 1/2 every node is far, and only there can a
+    # far node have overflowed
+    if tau / (1.0 + tau) > 0.5:
+        grow = one_xa ** (2.0 / alpha)
+        if not u.min() > 0.0:
+            grow = np.where(np.isinf(xa), x2, grow)
+        return far(x2, grow, tau_u, w)
+    is_near = w <= 0.5
+    n_near = int(np.count_nonzero(is_near))
+    if n_near == x.size:
+        return near(x2, w)
+    if not n_near:
+        return far(x2, one_xa ** (2.0 / alpha), tau_u, w)
     out = np.empty_like(x)
-    near = w <= 0.5
-    n_near = int(np.count_nonzero(near))
-    # a branch that holds every node reads and writes through the full index
-    # (...), which gathers and scatters nothing; one that holds none is
-    # skipped.  For tau >= 1 the near branch is empty but where w rounds to
-    # 1/2 at tau = 1.
-    if n_near:
-        i = near if n_near < near.size else ...
-        out[i] = k / (1.0 + tau) * x2[i] * specfun.hyf_series(w[i], b + 1.0)
-    if n_near < near.size:
-        i = ~near if n_near else ...
-        xai = xa[i]
-        grow = np.where(np.isinf(xai), x2[i], (1.0 + xai) ** (2.0 / alpha))
-        out[i] = k * (b * math.pi / math.sin(math.pi * b) * grow * (tau + u[i]) ** -b
-                      - b / (1.0 - b) * x2[i] / (1.0 + tau)
-                      * specfun.hyf_series(1.0 - w[i], 2.0 - b))
+    out[is_near] = near(x2[is_near], w[is_near])
+    is_far = ~is_near
+    out[is_far] = far(x2[is_far], one_xa[is_far] ** (2.0 / alpha), tau_u[is_far], w[is_far])
     return out
 
 
@@ -429,8 +447,8 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float
     first brackets the peak; a maximum sitting on a bracket edge (monotone
     objective) raises BracketError, and so does a constant one.
     """
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
     grid = np.geomspace(lo, hi, _SCAN_POINTS)
     scan = [fn(g) for g in grid]
     if min(scan) == max(scan):
@@ -476,7 +494,7 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
     """
 
     def objective(lam: float) -> float:
-        cfg = dataclasses.replace(cfg_template, lambda_bs=lam)
+        cfg = NetworkConfig(lam, cfg_template.alpha, cfg_template.tau, cfg_template.p_bs)
         return ase(cfg, cp_for_model(cfg, model)).value
 
     return golden_section_max(objective, bracket[0], bracket[1])

@@ -116,23 +116,31 @@ def hyf_series(w, c: float):
     that far: one loop carries that term as the scalar t beside the arrays
     and stops on t alone, so every entry takes the same count of terms.
     """
+    # written so that a NaN fails the check
+    if not c >= 1.0:
+        raise ValueError(f"series parameter c must be at least 1, got {c}")
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         return np.ones_like(w)
+    if w.ndim == 0:
+        # the loop updates its term in place, which needs an array
+        return hyf_series(w.reshape(1), c).reshape(())
     w_max = float(w.max())
     # written so that a NaN fails the check
     if not (w.min() >= 0.0 and w_max <= 0.5):
         raise ValueError("series argument must lie in [0, 1/2]")
-    total = np.ones_like(w)
-    term = np.ones_like(w)
-    t = 1.0
-    for r in _series_ratios(c):
+    ratios = _series_ratios(c)
+    # the first term, w r_0, and the sum 1 + w r_0 so far
+    term = w * ratios[0]
+    total = 1.0 + term
+    t = w_max * ratios[0]
+    for r in ratios[1:]:
+        if t < _SERIES_STOP:
+            break
         np.multiply(term, w, out=term)
         np.multiply(term, r, out=term)
         total += term
         t = t * w_max * r
-        if t < _SERIES_STOP:
-            break
     return total
 
 

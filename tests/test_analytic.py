@@ -333,11 +333,16 @@ class TestCpG2:
     def test_series_and_node_cache_change_no_bit(self, monkeypatch):
         # the frozen grid, thresholds below 1 (nodes on both sides of
         # w = 1/2) and tau = 1 at alpha = 4 and 100, where w rounds to 1/2
-        # and x^alpha overflows at the far nodes, evaluated by the current
-        # code and then by the exponent of boolean masks over the
-        # checked-every-term series, integrated on a rule rebuilt on every
-        # call
-        pairs = sorted(CP_G2_FROZEN) + [(4.0, 0.1), (4.0, 0.5), (4.0, 1.0), (100.0, 1.0)]
+        # and x^alpha overflows at the far nodes; tau/(1+tau) as rounded
+        # just below 1/2 (tau = 1 - 2^-53), just above it (1 + 2^-52, whose
+        # 1 + tau rounds to 2) and 1.000001; x^alpha overflowing at alpha =
+        # 100 where every node is far (tau = 10) and where the overflowed
+        # nodes are near (tau = 0.1); evaluated by the current code and then
+        # by the exponent of boolean masks over the checked-every-term
+        # series, integrated on a rule rebuilt on every call
+        pairs = sorted(CP_G2_FROZEN) + [
+            (4.0, 0.1), (4.0, 0.5), (4.0, 1.0), (100.0, 1.0), (4.0, 1.0 - 2.0**-53),
+            (4.0, 1.0 + 2.0**-52), (4.0, 1.000001), (100.0, 10.0), (100.0, 0.1)]
         cases = [(alpha, tau, lam) for alpha, tau in pairs for lam in CP_G2_FROZEN_LAMBDAS]
 
         def values():
@@ -350,18 +355,30 @@ class TestCpG2:
                             expectation_reference)
         assert current == values()
 
-    @pytest.mark.parametrize("tau, x", [
-        (0.1, np.geomspace(5.0, 1e3, 50)),                 # near only
-        (10.0, np.geomspace(1e-6, 1e3, 50)),               # far only
-        (0.5, np.geomspace(1e-6, 1e3, 50)),                # both
+    @pytest.mark.parametrize("alpha, tau, x", [
+        (4.0, 0.1, np.geomspace(5.0, 1e3, 50)),            # near only
+        (4.0, 10.0, np.geomspace(1e-6, 1e3, 50)),          # far only
+        (4.0, 0.5, np.geomspace(1e-6, 1e3, 50)),           # both
         # w rounds to 1/2 at the three largest; x^4 overflows at the last two
-        (1.0, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
-        (0.1, np.float64(20.0)),                           # a scalar, near
-        (10.0, np.float64(0.3)),                           # a scalar, far
-    ], ids=["near", "far", "mixed", "overflow", "scalar-near", "scalar-far"])
-    def test_exponent_takes_each_branch_as_the_masks_do(self, tau, x):
-        got = analytic._exponent_g2(x, 0.3, 4.0, tau)
-        ref = exponent_g2_reference(x, 0.3, 4.0, tau)
+        (4.0, 1.0, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
+        (4.0, 0.1, np.float64(20.0)),                      # a scalar, near
+        (4.0, 10.0, np.float64(0.3)),                      # a scalar, far
+        # tau/(1+tau) as rounded just below 1/2, and just above it twice:
+        # there every node is far without a mask
+        (4.0, 1.0 - 2.0**-53, np.geomspace(1e-6, 1e80, 60)),
+        (4.0, 1.0 + 2.0**-52, np.geomspace(1e-6, 1e80, 60)),
+        (4.0, 1.000001, np.geomspace(1e-6, 1e80, 60)),
+        # x^100 overflows from x = 2^10.24 among far nodes only, and x^4
+        # from 1e77 among near ones
+        (100.0, 10.0, np.array([0.5, 2.0, 1e3, 1e5, 1e80, 1e100])),
+        (4.0, 0.1, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
+        (4.0, 10.0, np.array([])),                         # no node
+    ], ids=["near", "far", "mixed", "overflow", "scalar-near", "scalar-far",
+            "below-half", "above-half", "above-half-1e-6", "overflow-far",
+            "overflow-near", "empty"])
+    def test_exponent_takes_each_branch_as_the_masks_do(self, alpha, tau, x):
+        got = analytic._exponent_g2(x, 0.3, alpha, tau)
+        ref = exponent_g2_reference(x, 0.3, alpha, tau)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -588,10 +605,14 @@ class TestOptimalDensity:
             optimal_density_numeric(template, PathlossModel.BOUNDED_G1,
                                     bracket=(1e-4, 1e-2))
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                        (1.0, math.inf)])
     def test_bracket_must_be_an_interval_of_positive_densities(self, lo, hi):
         with pytest.raises(ValueError, match="bracket"):
             golden_section_max(lambda lam: lam, lo, hi)
+        # refused before any density reaches NetworkConfig's own check
+        with pytest.raises(ValueError, match="bracket"):
+            optimal_density_numeric(cfg_at(1.0), PathlossModel.BOUNDED_G2, bracket=(lo, hi))
 
     @pytest.mark.parametrize("at", [0.3 / 15.0, 14.7 / 15.0], ids=["first", "last"])
     def test_peak_inside_an_edge_scan_interval(self, at):

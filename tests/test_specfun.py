@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -166,6 +167,12 @@ class TestHypergeometric:
         for alpha in (2.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="alpha"):
                 hyf_shapes(alpha)
+        # the series' stop rule needs each term ratio w (k+1)/(c+k) to be at
+        # most 1/2, which c >= 1 guarantees; c = 0 would divide by zero
+        for c, w in itertools.product((0.0, 0.5, 1.0 - 2.0**-53, -1.0, math.nan, -math.inf),
+                                      (np.array([0.25]), np.array([]))):
+            with pytest.raises(ValueError, match="parameter c must be at least 1, got"):
+                specfun.hyf_series(w, c)
         # past about 1.8e16, 1 - 1/alpha is 1 in double precision
         with pytest.raises(FloatingPointError, match="alpha=1e\\+17"):
             hyf_shapes(1e17)
