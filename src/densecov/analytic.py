@@ -42,8 +42,17 @@ _MAX_NODE_DOUBLINGS = 3
 # successive node doublings must agree to this relative tolerance
 _REL_TOL = 1e-9
 
+# densities per exponent call of a coverage curve, which bounds a curve's
+# peak memory whatever its length.  Three rows of 48 nodes per panel are
+# about 3 900 nodes; with four, the temporaries of a call outgrow what the
+# C allocator keeps of its heap after freeing them (glibc returns the freed
+# top to the system), and each call faults their pages in again
+_CURVE_CHUNK = 3
+
 # log-spaced points of the coarse scan that brackets the peak of an objective
 _SCAN_POINTS = 16
+# relative width of log-density at which the golden section stops
+_ARGMAX_REL_TOL = 1e-6
 
 
 class QuadratureError(RuntimeError):
@@ -138,34 +147,75 @@ def _pi_lambda(lam: float) -> float:
     return a
 
 
-def expectation_over_serving_distance(exponent, lam: float) -> float:
-    """E[exp(-exponent(x))] over the serving distance x.
+def expectation_over_serving_distance(exponent, lam):
+    """E[exp(-exponent(x))] over the serving distance x, at one density or
+    at each density of a 1-d array.
 
-    exponent must accept a distance array and return nonnegative values.
+    At one density exponent(x) takes a distance array.  For an array of
+    densities the result is an array, and exponent(x, lam) takes distances
+    and densities that broadcast against them: a row of distances per
+    density and the column of densities, or one density's distances and
+    that density.  The exponent returns nonnegative values.  Every density
+    has its own node doublings and its own sum, so that each result keeps
+    the bits of its own call; where some density fails, the first one in
+    order raises what it raises alone.
     """
-    sqrt_a = math.sqrt(_pi_lambda(lam))
+    if isinstance(lam, float) or np.ndim(lam) == 0:
+        return _expectations(lambda x, _: exponent(x), (lam,))[0]
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError("densities must be a scalar or a 1-d array")
+    out = []
+    for start in range(0, lams.size, _CURVE_CHUNK):
+        chunk = lams[start:start + _CURVE_CHUNK]
+        try:
+            out += _expectations(exponent, chunk)
+        except Exception:
+            # some density here fails: one at a time, the first failing
+            # density raises what it raises alone
+            for one in chunk:
+                out += _expectations(exponent, (one,))
+    return np.array(out)
 
-    def evaluate(nodes: int) -> float:
-        v, wts, neg_v2, two_v = _origin_panel_rule(nodes)
-        x = v / sqrt_a
-        # the exponent is nonnegative, so one that overflows to +inf is a
-        # zero integrand
-        with np.errstate(over="ignore"):
-            y = np.subtract(neg_v2, exponent(x))
+
+def _expectations(exponent, lams) -> list[float]:
+    """The expectation at each of a few densities, by one exponent call per
+    node count over the densities that have not yet converged: a 1-d row of
+    nodes for one density, a row each for more.  The first density that
+    does not converge raises."""
+    if len(lams) == 1:
+        sqrt_a, col = math.sqrt(_pi_lambda(lams[0])), lams[0]
+    else:
+        sqrt_a = np.array([math.sqrt(_pi_lambda(lam)) for lam in lams])[:, None]
+        col = np.asarray(lams, dtype=float)[:, None]
+    rows = list(range(len(lams)))
+    prev, out = [0.0] * len(lams), [0.0] * len(lams)
+    # the exponent is nonnegative, so one that overflows to +inf is a zero
+    # integrand
+    with np.errstate(over="ignore"):
+        for level in range(_MAX_NODE_DOUBLINGS + 1):
+            nodes = _PANEL_NODES << level
+            v, wts, neg_v2, two_v = _origin_panel_rule(nodes)
+            y = np.subtract(neg_v2, exponent(v / sqrt_a, col))
             np.exp(y, out=y)
             y *= two_v
-        return float(wts @ y)
-
-    nodes = _PANEL_NODES
-    prev = evaluate(nodes)
-    for _ in range(_MAX_NODE_DOUBLINGS):
-        nodes *= 2
-        cur = evaluate(nodes)
-        if abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
+            # each row by its own dot product: a matrix product could order
+            # the sum differently
+            keep = []
+            for j, i in enumerate(rows):
+                cur = float(wts @ (y[j] if y.ndim == 2 else y))
+                if level and abs(cur - prev[i]) <= _REL_TOL * max(abs(cur), 1e-300):
+                    out[i] = cur
+                else:
+                    prev[i] = cur
+                    keep.append(j)
+            if not keep:
+                return out
+            if len(keep) < len(rows):
+                sqrt_a, col = sqrt_a[keep], col[keep]
+                rows = [rows[j] for j in keep]
     raise QuadratureError(
-        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lam:g} "
+        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lams[rows[0]]:g} "
         f"({nodes} nodes per panel)"
     )
 
@@ -183,7 +233,7 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
 _X_UNBOUNDED = 2.0**480
 
 
-def _exponent_g2(x, lam: float, alpha: float, tau: float):
+def _exponent_g2(x, lam, alpha: float, tau: float):
     """Exponent of the inverse-polynomial model's coverage integrand.
 
     Raw form is 2 pi lam tau (1+x^a)/((a-2) x^(a-2)) * H_b(y) with b = 1 - 2/a
@@ -200,16 +250,19 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     (1+x^a) D^(-b) = (1+x^a)^(2/a) (tau + u)^(-b).  Where x^a overflows,
     u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha
     overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x holds
-    distances, and the branch choice relies on x >= 0.
+    distances, and the branch choice relies on x >= 0.  lam is one density,
+    or densities that broadcast against x, such as a column for rows of
+    nodes; every node's value is that of its density alone.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         return np.empty_like(x)
     if x.max() > _X_UNBOUNDED:
         huge = x > _X_UNBOUNDED
+        lam = np.broadcast_to(lam, x.shape)
         out = np.empty_like(x)
-        out[~huge] = _exponent_g2(x[~huge], lam, alpha, tau)
-        v = x[huge] * math.sqrt(math.pi * lam)
+        out[~huge] = _exponent_g2(x[~huge], lam[~huge], alpha, tau)
+        v = x[huge] * np.sqrt(math.pi * lam[huge])
         out[huge] = derived_constants(alpha, tau).c1 * (v * v)
         return out
     b = specfun.hyf_shapes(alpha)[0]
@@ -222,10 +275,10 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
     w = tau_u / (1.0 + tau)
     x2 = x * x
 
-    def near(x2, w):
+    def near(k, x2, w):
         return k / (1.0 + tau) * x2 * specfun.hyf_series(w, b + 1.0)
 
-    def far(x2, grow, tau_u, w):
+    def far(k, x2, grow, tau_u, w):
         return k * (b * math.pi / math.sin(math.pi * b) * grow * tau_u ** -b
                     - b / (1.0 - b) * x2 / (1.0 + tau)
                     * specfun.hyf_series(1.0 - w, 2.0 - b))
@@ -238,18 +291,25 @@ def _exponent_g2(x, lam: float, alpha: float, tau: float):
         grow = one_xa ** (2.0 / alpha)
         if not u.min() > 0.0:
             grow = np.where(np.isinf(xa), x2, grow)
-        return far(x2, grow, tau_u, w)
+        return far(k, x2, grow, tau_u, w)
     is_near = w <= 0.5
     n_near = int(np.count_nonzero(is_near))
     if n_near == x.size:
-        return near(x2, w)
+        return near(k, x2, w)
     if not n_near:
-        return far(x2, one_xa ** (2.0 / alpha), tau_u, w)
+        return far(k, x2, one_xa ** (2.0 / alpha), tau_u, w)
     out = np.empty_like(x)
-    out[is_near] = near(x2[is_near], w[is_near])
+    out[is_near] = near(_at(k, is_near), x2[is_near], w[is_near])
     is_far = ~is_near
-    out[is_far] = far(x2[is_far], one_xa[is_far] ** (2.0 / alpha), tau_u[is_far], w[is_far])
+    out[is_far] = far(_at(k, is_far), x2[is_far], one_xa[is_far] ** (2.0 / alpha),
+                      tau_u[is_far], w[is_far])
     return out
+
+
+def _at(k, mask):
+    """k at the nodes a mask selects: one density's float as it is, an
+    array broadcast to the mask's shape first."""
+    return k if isinstance(k, float) else np.broadcast_to(k, mask.shape)[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +446,30 @@ def cp_for_model(cfg: NetworkConfig, model: PathlossModel) -> CpValue:
     return exact(cfg)
 
 
+def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list[CpValue]:
+    """cp_for_model(NetworkConfig(lam, alpha, tau), model) at each density
+    of a 1-d sequence, bit for bit and in order.
+
+    g2's quadrature evaluates a few densities per exponent call; the closed
+    forms, and the refusal of min(1, d^-alpha), go one density at a time.
+    Where some density fails, the first one in order raises what it raises
+    alone.
+    """
+    grid = np.asarray(lams, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError("lams must be a non-empty 1-d sequence of densities")
+    lams = grid.tolist()
+    if coverage_curves(model)[0] is not cp_g2 or not all(0.0 < lam < math.inf for lam in lams):
+        # a closed form or the refusal; or an invalid density, which a
+        # density before it may precede with a failure of its own
+        return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in lams]
+    # alpha and tau as the first density's configuration checks them
+    cfg = NetworkConfig(lams[0], alpha, tau)
+    vals = expectation_over_serving_distance(
+        lambda x, lam: _exponent_g2(x, lam, cfg.alpha, cfg.tau), grid)
+    return [_cp(float(val), "quadrature") for val in vals]
+
+
 # ---------------------------------------------------------------------------
 # area spectral efficiency
 # ---------------------------------------------------------------------------
@@ -440,17 +524,26 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
     return lam
 
 
-def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
+def golden_section_max(fn, lo: float, hi: float, rel_tol: float = _ARGMAX_REL_TOL) -> float:
     """Derivative-free maximizer of a unimodal positive-argument function.
 
     Works on log-density so rel_tol bounds |lam - lam*|/lam*.  A coarse scan
     first brackets the peak; a maximum sitting on a bracket edge (monotone
     objective) raises BracketError, and so does a constant one.
     """
+    grid = _scan_grid(lo, hi)
+    return _golden_section(fn, grid, [fn(g) for g in grid], rel_tol)
+
+
+def _scan_grid(lo: float, hi: float):
+    """The densities of the coarse scan over a bracket."""
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
-    grid = np.geomspace(lo, hi, _SCAN_POINTS)
-    scan = [fn(g) for g in grid]
+    return np.geomspace(lo, hi, _SCAN_POINTS)
+
+
+def _golden_section(fn, grid, scan: list[float], rel_tol: float) -> float:
+    """golden_section_max from fn's values on the scan grid."""
     if min(scan) == max(scan):
         raise BracketError(f"objective is constant on the bracket, {scan[0]:g} at every point")
     imax = int(np.argmax(scan))
@@ -492,12 +585,17 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
     reports a bracket failure rather than an argmax.  min(1, d^-alpha) has no
     analytic curve, so its first evaluation raises UnsupportedPathlossError.
     """
+    alpha, tau, p_bs = cfg_template.alpha, cfg_template.tau, cfg_template.p_bs
 
     def objective(lam: float) -> float:
-        cfg = NetworkConfig(lam, cfg_template.alpha, cfg_template.tau, cfg_template.p_bs)
+        cfg = NetworkConfig(lam, alpha, tau, p_bs)
         return ase(cfg, cp_for_model(cfg, model)).value
 
-    return golden_section_max(objective, bracket[0], bracket[1])
+    # the scan reads one coverage curve; each golden-section step is one density
+    grid = _scan_grid(*bracket)
+    scan = [ase(NetworkConfig(lam, alpha, tau, p_bs), cp).value
+            for lam, cp in zip(grid.tolist(), coverage_curve(model, alpha, tau, grid))]
+    return _golden_section(objective, grid, scan, _ARGMAX_REL_TOL)
 
 
 # ---------------------------------------------------------------------------

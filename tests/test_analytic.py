@@ -382,6 +382,18 @@ class TestCpG2:
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("alpha, tau", [(4.0, 0.1), (4.0, 1.0), (4.0, 10.0), (100.0, 0.1),
+                                            (100.0, 10.0)])
+    def test_exponent_over_rows_of_densities_is_that_of_each_row(self, alpha, tau):
+        # rows past x = 2^480 (1e-320), with near and far nodes (0.3), and
+        # of far nodes only (30), each at its own density
+        lams = np.array([1e-320, 0.3, 30.0])
+        v = analytic._origin_panel_rule(24)[0]
+        x = v / np.sqrt(math.pi * lams)[:, None]
+        got = analytic._exponent_g2(x, lams[:, None], alpha, tau)
+        for row, lam, values in zip(x, lams.tolist(), got):
+            assert values.tobytes() == analytic._exponent_g2(row, lam, alpha, tau).tobytes()
+
     def test_threshold_to_zero(self):
         assert cp_g2(cfg_at(0.3, tau=1e-12)).value == pytest.approx(1.0, abs=1e-9)
 
@@ -736,3 +748,123 @@ def test_coverage_in_unit_interval_monotone_in_tau_and_sandwiched(alpha, taus, l
                 assert ase_lower(cfg).value <= ase(cfg, cp).value * (1 + BOUND_SLACK)
             values.append(cp.value)
         assert values[1] <= values[0] + BOUND_SLACK, model
+
+
+def per_density(model, alpha, tau, lams):
+    """cp_for_model at each density in order, up to the first that raises:
+    the values before it, and that failure's type and message (None where
+    every density computes)."""
+    values = []
+    for lam in lams:
+        try:
+            values.append(cp_for_model(NetworkConfig(lam, alpha, tau), model))
+        except Exception as exc:
+            return values, (type(exc), str(exc))
+    return values, None
+
+
+def assert_curve_is_per_density(model, alpha, tau, lams):
+    expected, failure = per_density(model, alpha, tau, lams)
+    if failure:
+        with pytest.raises(Exception) as info:
+            analytic.coverage_curve(model, alpha, tau, lams)
+        assert (type(info.value), str(info.value)) == failure
+        return
+    got = analytic.coverage_curve(model, alpha, tau, lams)
+    assert got == expected
+    assert [cp.raw.hex() for cp in got] == [cp.raw.hex() for cp in expected]
+
+
+CURVE_MODELS = [PathlossModel.UNBOUNDED, PathlossModel.BOUNDED_G1, PathlossModel.BOUNDED_G2]
+
+
+class TestCoverageCurve:
+    # densities over the whole range, and as often over the figures' range
+    # and above it, where g2 takes its series branches
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(model=st.sampled_from(CURVE_MODELS),
+           alpha=st.floats(2.0, 30.0, exclude_min=True),
+           tau_db=st.floats(-10.0, 30.0),
+           lams=st.lists(st.one_of(log_uniform(-320.0, 3.0), log_uniform(-6.0, 3.0)),
+                         min_size=1, max_size=40).map(sorted),
+           chunk=st.sampled_from([1, 3, 4, 23]))
+    # a quadrature failure before an overflow, in the second chunk of three
+    # and in the one chunk
+    @example(model=PathlossModel.BOUNDED_G2, alpha=100.0, tau_db=30.0,
+             lams=[0.01, 0.1, 1.0, 6.31, 1e308], chunk=3)
+    @example(model=PathlossModel.BOUNDED_G2, alpha=100.0, tau_db=30.0,
+             lams=[0.01, 0.1, 1.0, 6.31, 1e308], chunk=23)
+    def test_equals_cp_for_model_at_each_density(self, model, alpha, tau_db, lams, chunk):
+        # every density keeps the bits of its own call whatever the chunk
+        # it shares, and a failing grid raises as its first failing density
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, "_CURVE_CHUNK", chunk)
+            assert_curve_is_per_density(model, alpha, 10.0 ** (tau_db / 10.0), lams)
+
+    @pytest.mark.parametrize("model", CURVE_MODELS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("alpha, tau, lams", [
+        # x past 2^480 at 1e-320 in one chunk with near and mixed nodes
+        (4.0, 0.1, [1e-320, 0.3]),
+        (4.0, 0.1, [1e-320, 1e-300, 1e-3, 0.3]),
+        # rows that converge at 48 nodes beside rows that need 96, and 192
+        (30.0, 10.0, [1.0, 10.0, 31.622776601683793, 3.0]),
+        (30.0, 1000.0, [0.1, 10.0, 100.0]),
+        # grid lengths about the chunk edge
+        (4.0, 10.0, np.geomspace(1e-6, 10.0, 3)),
+        (4.0, 10.0, np.geomspace(1e-6, 10.0, 4)),
+        (4.0, 10.0, np.geomspace(1e-6, 10.0, 5)),
+        (3.0, 1.0, np.geomspace(1e-6, 10.0, 8)),
+        (3.0, 1.0, np.geomspace(1e-6, 10.0, 9)),
+        # an earlier density's quadrature failure before a later one's
+        # overflow, in one chunk, and after computed densities
+        (100.0, 1000.0, [6.31, 1e308]),
+        (100.0, 1000.0, [0.01, 0.1, 6.31, 1e308, 1e-3]),
+        # invalid densities raise as NetworkConfig does, in grid order
+        (4.0, 10.0, [0.0]),
+        (4.0, 10.0, [1e-3, math.nan]),
+        (100.0, 1000.0, [6.31, math.nan]),
+    ], ids=["tiny-near-mixed", "tiny-chunk", "96-nodes", "192-nodes", "3", "4", "5", "8",
+            "9", "quadrature-before-overflow", "failure-after-values", "zero", "nan",
+            "quadrature-before-nan"])
+    def test_fixed_cases_equal_cp_for_model(self, model, alpha, tau, lams):
+        assert_curve_is_per_density(model, alpha, tau, lams)
+
+    @pytest.mark.parametrize("lams", [[], [[1e-3, 0.3]], np.zeros((2, 2))], ids=["empty", "2-d", "2x2"])
+    def test_grid_must_be_a_non_empty_1d_sequence(self, lams):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
+
+    def test_min_bounded_refused_as_cp_for_model(self):
+        assert_curve_is_per_density(PathlossModel.MIN_BOUNDED, 4.0, 10.0, [1e-3, 0.3])
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # tracemalloc sees numpy's buffers; a curve of 400 densities, three
+        # repeated, peaks as one chunk of those three does, give or take its
+        # results, where one unchunked exponent call would hold 133 times
+        # the nodes
+        import tracemalloc
+        chunk = np.geomspace(1e-3, 1.0, 3)
+
+        def peak(lams):
+            analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
+            tracemalloc.start()
+            try:
+                analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(np.resize(chunk, 400)) <= 1.1 * peak(chunk)
+
+    @pytest.mark.parametrize("alpha, tau", [(4.0, 10.0), (3.0, 10.0), (3.0, 1.0)])
+    def test_optimal_density_keeps_its_bits(self, alpha, tau):
+        # the scan reads the curve; the search is that of golden_section_max
+        # over cp_for_model at every density
+        template = NetworkConfig(1.0, alpha, tau)
+
+        def objective(lam):
+            cfg = NetworkConfig(lam, alpha, tau)
+            return ase(cfg, cp_for_model(cfg, PathlossModel.BOUNDED_G2)).value
+
+        expected = golden_section_max(objective, 1e-4, 10.0)
+        assert optimal_density_numeric(template, PathlossModel.BOUNDED_G2).hex() == expected.hex()

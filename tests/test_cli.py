@@ -85,6 +85,14 @@ NUMERICAL_FAILURES = [
      "2^alpha/(pi c_hat) overflows at alpha=1000"),
     (["cp-sweep", "--model", "g2", "--lambda-min", "1e308",
       "--lambda-max", "1e308", "--points", "1"], "pi*lambda overflows"),
+    # the first density's quadrature failure, not the overflow of the
+    # second, which shares its chunk of the coverage curve
+    (["cp-sweep", "--model", "g2", "--alpha", "100", "--tau-db", "30",
+      "--lambda-min", "6.31", "--lambda-max", "1e308", "--points", "2"],
+     "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.31 "),
+    # the first row's lower bound fails before the coverage of a later row
+    (["cp-sweep", "--model", "g2", "--alpha", "2000", "--lambda-min", "1e-6", "--points", "9"],
+     "beta = 2^(alpha-2) c1 overflows at alpha=2000"),
     (["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"], "overflows"),
     (["optimal-density", "--alpha", "2000"], "2^alpha/(pi c_hat) overflows at alpha=2000"),
     (["cp-sweep", "--alpha", "1e17", "--points", "1"], "1 - 1/alpha rounds to 1"),
