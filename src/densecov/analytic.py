@@ -147,51 +147,48 @@ def _pi_lambda(lam: float) -> float:
     return a
 
 
-def expectation_over_serving_distance(exponent, lam):
-    """E[exp(-exponent(x))] over the serving distance x, at one density or
-    at each density of a 1-d array.
+def expectation_over_serving_distance(exponent, lam: float) -> float:
+    """E[exp(-exponent(x))] over the serving distance x.
 
-    At one density exponent(x) takes a distance array.  For an array of
-    densities the result is an array, and exponent(x, lam) takes distances
-    and densities that broadcast against them: a row of distances per
-    density and the column of densities, or one density's distances and
-    that density.  The exponent returns nonnegative values.  Every density
-    has its own node doublings and its own sum, so that each result keeps
-    the bits of its own call; where some density fails, the first one in
-    order raises what it raises alone.
+    exponent must accept a distance array and return nonnegative values.
     """
-    if isinstance(lam, float) or np.ndim(lam) == 0:
-        return _expectations(lambda x, _: exponent(x), (lam,))[0]
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim != 1:
-        raise ValueError("densities must be a scalar or a 1-d array")
-    out = []
-    for start in range(0, lams.size, _CURVE_CHUNK):
-        chunk = lams[start:start + _CURVE_CHUNK]
-        try:
-            out += _expectations(exponent, chunk)
-        except Exception:
-            # some density here fails: one at a time, the first failing
-            # density raises what it raises alone
-            for one in chunk:
-                out += _expectations(exponent, (one,))
-    return np.array(out)
+    sqrt_a = math.sqrt(_pi_lambda(lam))
+
+    def evaluate(nodes: int) -> float:
+        v, wts, neg_v2, two_v = _origin_panel_rule(nodes)
+        x = v / sqrt_a
+        # the exponent is nonnegative, so one that overflows to +inf is a
+        # zero integrand
+        with np.errstate(over="ignore"):
+            y = np.subtract(neg_v2, exponent(x))
+            np.exp(y, out=y)
+            y *= two_v
+        return float(wts @ y)
+
+    nodes = _PANEL_NODES
+    prev = evaluate(nodes)
+    for _ in range(_MAX_NODE_DOUBLINGS):
+        nodes *= 2
+        cur = evaluate(nodes)
+        if abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureError(
+        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lam:g} "
+        f"({nodes} nodes per panel)"
+    )
 
 
-def _expectations(exponent, lams) -> list[float]:
-    """The expectation at each of a few densities, by one exponent call per
-    node count over the densities that have not yet converged: a 1-d row of
-    nodes for one density, a row each for more.  The first density that
-    does not converge raises."""
-    if len(lams) == 1:
-        sqrt_a, col = math.sqrt(_pi_lambda(lams[0])), lams[0]
-    else:
-        sqrt_a = np.array([math.sqrt(_pi_lambda(lam)) for lam in lams])[:, None]
-        col = np.asarray(lams, dtype=float)[:, None]
+def _expectation_rows(exponent, lams: list[float]) -> list[float]:
+    """expectation_over_serving_distance at each of a few densities, by one
+    exponent(x, lam) call per node count on a row of nodes per density that
+    has not converged and the column of those densities.  Each row has its
+    own sum and its own doublings, so each keeps the bits of its own call;
+    the first density that does not converge raises."""
+    sqrt_a = np.array([math.sqrt(_pi_lambda(lam)) for lam in lams])[:, None]
+    col = np.array(lams)[:, None]
     rows = list(range(len(lams)))
     prev, out = [0.0] * len(lams), [0.0] * len(lams)
-    # the exponent is nonnegative, so one that overflows to +inf is a zero
-    # integrand
     with np.errstate(over="ignore"):
         for level in range(_MAX_NODE_DOUBLINGS + 1):
             nodes = _PANEL_NODES << level
@@ -203,7 +200,7 @@ def _expectations(exponent, lams) -> list[float]:
             # the sum differently
             keep = []
             for j, i in enumerate(rows):
-                cur = float(wts @ (y[j] if y.ndim == 2 else y))
+                cur = float(wts @ y[j])
                 if level and abs(cur - prev[i]) <= _REL_TOL * max(abs(cur), 1e-300):
                     out[i] = cur
                 else:
@@ -426,7 +423,8 @@ def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
 
 def coverage_curves(model: PathlossModel) -> tuple:
     """The model's coverage curves (exact, lower, upper), None where it has
-    none; looked up at each call, so a wrapper put in this namespace is used."""
+    none; looked up at each call, so a wrapper put in this namespace is used
+    by cp_for_model (coverage_curve's g2 batch goes around cp_g2)."""
     if model is PathlossModel.UNBOUNDED:
         return cp_upm, None, None
     if model is PathlossModel.BOUNDED_G1:
@@ -450,24 +448,37 @@ def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list
     """cp_for_model(NetworkConfig(lam, alpha, tau), model) at each density
     of a 1-d sequence, bit for bit and in order.
 
-    g2's quadrature evaluates a few densities per exponent call; the closed
-    forms, and the refusal of min(1, d^-alpha), go one density at a time.
-    Where some density fails, the first one in order raises what it raises
-    alone.
+    g2 goes around cp_g2: the curve evaluates _exponent_g2 on a few
+    densities per call, and only a chunk that holds a failing density goes
+    through cp_g2, one density at a time, so that the first failing density
+    raises what it raises alone.  The closed forms, the refusal of
+    min(1, d^-alpha) and a grid with an invalid density go through
+    cp_for_model one density at a time.
     """
     grid = np.asarray(lams, dtype=float)
     if grid.ndim != 1 or not grid.size:
         raise ValueError("lams must be a non-empty 1-d sequence of densities")
     lams = grid.tolist()
-    if coverage_curves(model)[0] is not cp_g2 or not all(0.0 < lam < math.inf for lam in lams):
+    if model is not PathlossModel.BOUNDED_G2 or not all(0.0 < lam < math.inf for lam in lams):
         # a closed form or the refusal; or an invalid density, which a
         # density before it may precede with a failure of its own
         return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in lams]
     # alpha and tau as the first density's configuration checks them
     cfg = NetworkConfig(lams[0], alpha, tau)
-    vals = expectation_over_serving_distance(
-        lambda x, lam: _exponent_g2(x, lam, cfg.alpha, cfg.tau), grid)
-    return [_cp(float(val), "quadrature") for val in vals]
+
+    def exponent(x, lam):
+        return _exponent_g2(x, lam, cfg.alpha, cfg.tau)
+
+    # floats until the last chunk, so that the results add little to the
+    # peak of a chunk's exponent call
+    vals = []
+    for start in range(0, len(lams), _CURVE_CHUNK):
+        chunk = lams[start:start + _CURVE_CHUNK]
+        try:
+            vals += _expectation_rows(exponent, chunk)
+        except Exception:
+            vals += [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk]
+    return [_cp(val, "quadrature") for val in vals]
 
 
 # ---------------------------------------------------------------------------

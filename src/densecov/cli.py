@@ -205,19 +205,13 @@ def cmd_sweep(args) -> int:
     model = PathlossModel.from_tag(args.model)
     exact, lower, upper = analytic.coverage_curves(model)
     tau = db_to_linear(args.tau_db)
-    try:
-        curve = analytic.coverage_curve(model, args.alpha, tau, grid) if exact else None
-    except Exception:
-        # another column of an earlier row may fail first: the rows below
-        # compute one at a time and raise in row order
-        curve = None
     rows = []
-    for i, lam in enumerate(map(float, grid)):
+    for lam in map(float, grid):
         cfg = NetworkConfig(lambda_bs=lam, alpha=args.alpha, tau=tau)
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(lambda_bs=lam, model=args.model)
         if exact:
-            cp = curve[i] if curve else exact(cfg)
+            cp = exact(cfg)
             row["cp_analytic"] = cp.value
         if lower:
             row["cp_lower"], row["cp_upper"] = lower(cfg).value, upper(cfg).value

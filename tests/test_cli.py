@@ -86,7 +86,7 @@ NUMERICAL_FAILURES = [
     (["cp-sweep", "--model", "g2", "--lambda-min", "1e308",
       "--lambda-max", "1e308", "--points", "1"], "pi*lambda overflows"),
     # the first density's quadrature failure, not the overflow of the
-    # second, which shares its chunk of the coverage curve
+    # second, which analytic.coverage_curve would put in the same call
     (["cp-sweep", "--model", "g2", "--alpha", "100", "--tau-db", "30",
       "--lambda-min", "6.31", "--lambda-max", "1e308", "--points", "2"],
      "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.31 "),
