@@ -44,9 +44,11 @@ _REL_TOL = 1e-9
 
 # densities per exponent call of a coverage curve, which bounds a curve's
 # peak memory whatever its length.  Three rows of 48 nodes per panel are
-# about 3 900 nodes; with four, the temporaries of a call outgrow what the
+# about 3 900 nodes.  With a new array per pass, four rows outgrew what the
 # C allocator keeps of its heap after freeing them (glibc returns the freed
-# top to the system), and each call faults their pages in again
+# top to the system), and each call faulted their pages in again; the
+# in-place exponent faults none at six rows, which scan faster, but six
+# wait on the benchmark's peak-RSS fix (README, ROADMAP item 1)
 _CURVE_CHUNK = 3
 
 # log-spaced points of the coarse scan that brackets the peak of an objective
@@ -150,7 +152,8 @@ def _pi_lambda(lam: float) -> float:
 def expectation_over_serving_distance(exponent, lam: float) -> float:
     """E[exp(-exponent(x))] over the serving distance x.
 
-    exponent must accept a distance array and return nonnegative values.
+    exponent must accept a distance array and return nonnegative values in
+    a new float array of the same shape, which the integrand overwrites.
     """
     sqrt_a = math.sqrt(_pi_lambda(lam))
 
@@ -160,7 +163,8 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
         # the exponent is nonnegative, so one that overflows to +inf is a
         # zero integrand
         with np.errstate(over="ignore"):
-            y = np.subtract(neg_v2, exponent(x))
+            y = exponent(x)
+            np.subtract(neg_v2, y, out=y)
             np.exp(y, out=y)
             y *= two_v
         return float(wts @ y)
@@ -183,17 +187,18 @@ def _expectation_rows(exponent, lams: list[float]) -> list[float]:
     """expectation_over_serving_distance at each of a few densities, by one
     exponent(x, lam) call per node count on a row of nodes per density that
     has not converged and the column of those densities.  Each row has its
-    own sum and its own doublings, so each keeps the bits of its own call;
-    the first density that does not converge raises."""
+    own sum and its own doublings, so each keeps the bits of its own call.
+    Returns the values of the densities before the first that does not
+    converge: all of them where every density converges."""
     sqrt_a = np.array([math.sqrt(_pi_lambda(lam)) for lam in lams])[:, None]
     col = np.array(lams)[:, None]
     rows = list(range(len(lams)))
     prev, out = [0.0] * len(lams), [0.0] * len(lams)
     with np.errstate(over="ignore"):
         for level in range(_MAX_NODE_DOUBLINGS + 1):
-            nodes = _PANEL_NODES << level
-            v, wts, neg_v2, two_v = _origin_panel_rule(nodes)
-            y = np.subtract(neg_v2, exponent(v / sqrt_a, col))
+            v, wts, neg_v2, two_v = _origin_panel_rule(_PANEL_NODES << level)
+            y = exponent(v / sqrt_a, col)
+            np.subtract(neg_v2, y, out=y)
             np.exp(y, out=y)
             y *= two_v
             # each row by its own dot product: a matrix product could order
@@ -211,10 +216,7 @@ def _expectation_rows(exponent, lams: list[float]) -> list[float]:
             if len(keep) < len(rows):
                 sqrt_a, col = sqrt_a[keep], col[keep]
                 rows = [rows[j] for j in keep]
-    raise QuadratureError(
-        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lams[rows[0]]:g} "
-        f"({nodes} nodes per panel)"
-    )
+    return out[:rows[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +250,16 @@ def _exponent_g2(x, lam, alpha: float, tau: float):
     u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha
     overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x holds
     distances, and the branch choice relies on x >= 0.  lam is one density,
-    or densities that broadcast against x, such as a column for rows of
-    nodes; every node's value is that of its density alone.
+    or densities that broadcast to x's shape, such as a column for rows of
+    nodes; every node's value is that of its density alone.  Each pass
+    writes into an array the call owns, and x is only read.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         return np.empty_like(x)
+    if not x.ndim:
+        # the passes below work in place, which needs an array
+        return _exponent_g2(x.reshape(1), lam, alpha, tau).reshape(())
     if x.max() > _X_UNBOUNDED:
         huge = x > _X_UNBOUNDED
         lam = np.broadcast_to(lam, x.shape)
@@ -264,43 +270,67 @@ def _exponent_g2(x, lam, alpha: float, tau: float):
         return out
     b = specfun.hyf_shapes(alpha)[0]
     k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
+
+    def near(k, x2, w, w_max):
+        # k/(1+tau) x^2 F(b+1; w), in x2's array
+        x2 *= k / (1.0 + tau)
+        x2 *= specfun._hyf_series(w, b + 1.0, w_max)
+        return x2
+
+    def far(k, x, grow, tau_u, w, w_min, overflowed):
+        # grow holds 1 + x^a and takes the result, tau_u takes (tau + u)^-b,
+        # and w takes 1 - w and then x^2
+        np.subtract(1.0, w, out=w)
+        # 1 - w falls as w grows, and rounding is monotone
+        series = specfun._hyf_series(w, 2.0 - b, 1.0 - w_min)
+        x2 = np.multiply(x, x, out=w)
+        grow **= 2.0 / alpha
+        if overflowed:
+            np.copyto(grow, x2, where=np.isinf(grow))
+        grow *= b * math.pi / math.sin(math.pi * b)
+        tau_u **= -b
+        grow *= tau_u
+        x2 *= b / (1.0 - b)
+        x2 /= 1.0 + tau
+        x2 *= series
+        grow -= x2
+        grow *= k
+        return grow
+
+    # x^a, then 1 + x^a in the same array; u = 1/(1 + x^a), then tau + u
     with np.errstate(over="ignore"):
-        xa = x**alpha
-    one_xa = 1.0 + xa
-    u = 1.0 / one_xa
-    tau_u = tau + u
-    w = tau_u / (1.0 + tau)
-    x2 = x * x
-
-    def near(k, x2, w):
-        return k / (1.0 + tau) * x2 * specfun.hyf_series(w, b + 1.0)
-
-    def far(k, x2, grow, tau_u, w):
-        return k * (b * math.pi / math.sin(math.pi * b) * grow * tau_u ** -b
-                    - b / (1.0 - b) * x2 / (1.0 + tau)
-                    * specfun.hyf_series(1.0 - w, 2.0 - b))
-
+        grow = x**alpha
+    grow += 1.0
+    tau_u = np.divide(1.0, grow)
     # at distances x >= 0, u >= 0 and rounding is monotone, so no w lies
     # below tau/(1+tau) as rounded, and a node where x^a overflowed (u = 0)
     # has exactly that w: above 1/2 every node is far, and only there can a
     # far node have overflowed
     if tau / (1.0 + tau) > 0.5:
-        grow = one_xa ** (2.0 / alpha)
-        if not u.min() > 0.0:
-            grow = np.where(np.isinf(xa), x2, grow)
-        return far(k, x2, grow, tau_u, w)
+        u_min = float(tau_u.min())
+        tau_u += tau
+        w = np.divide(tau_u, 1.0 + tau)
+        # w, like u, is smallest at the smallest u
+        return far(k, x, grow, tau_u, w, (tau + u_min) / (1.0 + tau), not u_min > 0.0)
+    tau_u += tau
+    w = np.divide(tau_u, 1.0 + tau)
     is_near = w <= 0.5
     n_near = int(np.count_nonzero(is_near))
     if n_near == x.size:
-        return near(k, x2, w)
+        return near(k, np.multiply(x, x, out=grow), w, float(w.max()))
     if not n_near:
-        return far(k, x2, one_xa ** (2.0 / alpha), tau_u, w)
-    out = np.empty_like(x)
-    out[is_near] = near(_at(k, is_near), x2[is_near], w[is_near])
+        return far(k, x, grow, tau_u, w, float(w.min()), False)
     is_far = ~is_near
-    out[is_far] = far(_at(k, is_far), x2[is_far], one_xa[is_far] ** (2.0 / alpha),
-                      tau_u[is_far], w[is_far])
-    return out
+    w_far = w[is_far]
+    out_far = far(_at(k, is_far), x[is_far], grow[is_far], tau_u[is_far], w_far,
+                  float(w_far.min()), False)
+    x_near, w_near = x[is_near], w[is_near]
+    # the far nodes' values of grow were gathered above, so its array takes
+    # the result
+    grow[is_near] = near(_at(k, is_near), np.multiply(x_near, x_near, out=x_near), w_near,
+                         float(w_near.max()))
+    grow[is_far] = out_far
+    return grow
 
 
 def _at(k, mask):
@@ -449,36 +479,42 @@ def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list
     of a 1-d sequence, bit for bit and in order.
 
     g2 goes around cp_g2: the curve evaluates _exponent_g2 on a few
-    densities per call, and only a chunk that holds a failing density goes
-    through cp_g2, one density at a time, so that the first failing density
-    raises what it raises alone.  The closed forms, the refusal of
+    densities per call.  Where a density of a chunk does not converge, the
+    chunk keeps the densities before it and that density goes through
+    cp_g2 alone, where it raises what it raises alone; where a chunk fails
+    otherwise (an overflow, say), all of its densities go through cp_g2 one
+    at a time.  The closed forms, the refusal of
     min(1, d^-alpha) and a grid with an invalid density go through
     cp_for_model one density at a time.
     """
     grid = np.asarray(lams, dtype=float)
     if grid.ndim != 1 or not grid.size:
         raise ValueError("lams must be a non-empty 1-d sequence of densities")
-    lams = grid.tolist()
-    if model is not PathlossModel.BOUNDED_G2 or not all(0.0 < lam < math.inf for lam in lams):
+    if model is not PathlossModel.BOUNDED_G2 or not np.all((0.0 < grid) & (grid < math.inf)):
         # a closed form or the refusal; or an invalid density, which a
         # density before it may precede with a failure of its own
-        return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in lams]
+        return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in grid.tolist()]
     # alpha and tau as the first density's configuration checks them
-    cfg = NetworkConfig(lams[0], alpha, tau)
+    cfg = NetworkConfig(float(grid[0]), alpha, tau)
 
     def exponent(x, lam):
         return _exponent_g2(x, lam, cfg.alpha, cfg.tau)
 
-    # floats until the last chunk, so that the results add little to the
-    # peak of a chunk's exponent call
-    vals = []
-    for start in range(0, len(lams), _CURVE_CHUNK):
-        chunk = lams[start:start + _CURVE_CHUNK]
+    # one float per density until the last chunk, so that the results add
+    # little to the peak of a chunk's exponent call
+    vals = np.empty_like(grid)
+    for start in range(0, grid.size, _CURVE_CHUNK):
+        chunk = grid[start:start + _CURVE_CHUNK].tolist()
         try:
-            vals += _expectation_rows(exponent, chunk)
+            got = _expectation_rows(exponent, chunk)
         except Exception:
-            vals += [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk]
-    return [_cp(val, "quadrature") for val in vals]
+            # an overflow, say: every density of the chunk as alone
+            got = []
+        # from the first density that did not converge on, one density at a
+        # time, so that it raises what it raises alone
+        got += [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk[len(got):]]
+        vals[start:start + len(chunk)] = got
+    return [_cp(val, "quadrature") for val in vals.tolist()]
 
 
 # ---------------------------------------------------------------------------

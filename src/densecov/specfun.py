@@ -51,6 +51,8 @@ _SERIES_STOP = 2.0**-52
 # above it, evaluated backwards from a fixed depth.
 _ERFC_SWITCH = 2.0
 _CF_DEPTH = 64
+# the fraction's numerators k/2 from level _CF_DEPTH down to 2, each exact
+_CF_HALVES = tuple(0.5 * k for k in range(_CF_DEPTH, 1, -1))
 
 
 def erfcx(x: float) -> float:
@@ -93,8 +95,8 @@ def erfc_cf_tail(x: float) -> float:
     if not x >= _ERFC_SWITCH:
         raise ValueError(f"erfc_cf_tail requires x >= {_ERFC_SWITCH:g}, got {x}")
     g = x
-    for k in range(_CF_DEPTH, 1, -1):
-        g = x + 0.5 * k / g
+    for half_k in _CF_HALVES:
+        g = x + half_k / g
     return 0.5 / g
 
 
@@ -113,8 +115,8 @@ def hyf_series(w, c: float):
     a tie, which rounding to even may settle upwards (c = 1, w = 1/2 reaches
     it at the sum 2 - 2^-52, which becomes 2).  Every term grows with w and
     rounding is monotone, so the largest argument's term is the last to fall
-    that far: one loop carries that term as the scalar t beside the arrays
-    and stops on t alone, so every entry takes the same count of terms.
+    that far: _hyf_series carries that term as a scalar beside the arrays
+    and stops on it alone, so every entry takes the same count of terms.
     """
     # written so that a NaN fails the check
     if not c >= 1.0:
@@ -129,6 +131,12 @@ def hyf_series(w, c: float):
     # written so that a NaN fails the check
     if not (w.min() >= 0.0 and w_max <= 0.5):
         raise ValueError("series argument must lie in [0, 1/2]")
+    return _hyf_series(w, c, w_max)
+
+
+def _hyf_series(w: np.ndarray, c: float, w_max: float) -> np.ndarray:
+    """hyf_series of a non-empty array w in [0, 1/2] whose largest entry is
+    w_max, exactly, and c >= 1, unchecked; w is only read."""
     ratios = _series_ratios(c)
     # the first term, w r_0, and the sum 1 + w r_0 so far
     term = w * ratios[0]

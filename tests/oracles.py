@@ -2,7 +2,9 @@
 
 The quadrature oracles deliberately evaluate defining integrals through
 QUADPACK routes that share nothing with the package's own panel/series
-evaluations.  hyf_series_reference is the plain term-by-term series loop,
+evaluations.  erfc_cf_tail_reference is the continued fraction's plain
+backward loop, kept as the exact reference for specfun.erfc_cf_tail,
+hyf_series_reference is the plain term-by-term series loop,
 kept as the exact reference for specfun.hyf_series, exponent_g2_reference
 is the g2 coverage exponent by boolean masks on that loop, kept as the
 exact reference for analytic._exponent_g2, inline_panel_rule is the
@@ -47,6 +49,15 @@ def serving_distance_expectation(fn, lam, x0=0.0):
     val, _ = integrate.quad(lambda x: 2.0 * a * x * np.exp(-a * x * x) * fn(x),
                             x0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=400)
     return val
+
+
+def erfc_cf_tail_reference(x):
+    """The tail of erfc's Gauss continued fraction as specfun.erfc_cf_tail
+    defines it, each level's numerator formed as 0.5 * k in its step."""
+    g = x
+    for k in range(64, 1, -1):
+        g = x + 0.5 * k / g
+    return 0.5 / g
 
 
 def hyf_series_reference(w, c):

@@ -373,14 +373,79 @@ class TestCpG2:
         (100.0, 10.0, np.array([0.5, 2.0, 1e3, 1e5, 1e80, 1e100])),
         (4.0, 0.1, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
         (4.0, 10.0, np.array([])),                         # no node
+        # scalars where numpy's power of a 0-d value rounds differently
+        # from its power of an array
+        (3.7, 0.01, np.float64(0.7)),
+        (100.0, 0.5, np.float64(0.7)),
     ], ids=["near", "far", "mixed", "overflow", "scalar-near", "scalar-far",
             "below-half", "above-half", "above-half-1e-6", "overflow-far",
-            "overflow-near", "empty"])
+            "overflow-near", "empty", "scalar-pow-near", "scalar-pow-far"])
     def test_exponent_takes_each_branch_as_the_masks_do(self, alpha, tau, x):
         got = analytic._exponent_g2(x, 0.3, alpha, tau)
         ref = exponent_g2_reference(x, 0.3, alpha, tau)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("alpha, tau, x", [
+        (4.0, 0.1, np.geomspace(5.0, 1e3, 50)),
+        (4.0, 10.0, np.geomspace(1e-6, 1e3, 50)),
+        (4.0, 1.0, np.geomspace(1e-6, 1e3, 50)),
+        (4.0, 0.5, np.geomspace(1e-6, 1e3, 50)),
+        (100.0, 10.0, np.array([0.5, 2.0, 1e3, 1e5, 1e80, 1e100])),
+        (4.0, 10.0, np.array([1.0, 1e150])),
+        (4.0, 0.1, np.float64(0.7)),
+    ], ids=["near", "far", "far-by-count", "mixed", "overflow-far", "unbounded", "scalar"])
+    def test_exponent_leaves_its_input_untouched(self, alpha, tau, x):
+        # the passes work in arrays of the call's own, never in x
+        x = np.array(x)
+        before = x.tobytes()
+        x.flags.writeable = False
+        got = analytic._exponent_g2(x, 0.3, alpha, tau)
+        assert x.tobytes() == before
+        assert got.tobytes() == analytic._exponent_g2(x.copy(), 0.3, alpha, tau).tobytes()
+
+    @pytest.mark.parametrize("alpha, tau, bound", [(4.0, 10.0, 6.0), (4.0, 0.5, 10.0)],
+                             ids=["far-only", "mixed"])
+    def test_exponent_peak_memory(self, alpha, tau, bound):
+        # tracemalloc sees numpy's buffers.  On one 48-node rule (1 296
+        # nodes) the in-place passes peak at 5.1 times the input's bytes
+        # with every node far (1 + x^a, tau + u, w, and the series' term and
+        # sum) and at 8.5 times with 217 near nodes; the bounds leave about
+        # 17 % over those.  With a new array for every pass the peaks were
+        # 12.2 and 15.0 times
+        import tracemalloc
+        lam = 0.3
+        x = analytic._origin_panel_rule(48)[0] / math.sqrt(math.pi * lam)
+        analytic._exponent_g2(x, lam, alpha, tau)
+        tracemalloc.start()
+        try:
+            analytic._exponent_g2(x, lam, alpha, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x.nbytes
+
+    @pytest.mark.parametrize("alpha, tau, lams", [
+        # tau/(1+tau) is exactly 1/2, so the masks decide: every node far
+        (4.0, 1.0, [0.3, 30.0]),
+        (100.0, 1.0, [0.3, 30.0]),
+        # and with the near nodes of a small density
+        (4.0, 1.0, [1e-8, 0.3, 30.0]),
+        # every node far by tau, x^100 overflowing in the 1e-8 row, and a
+        # row past x = 2^480
+        (100.0, 10.0, [1e-320, 1e-8, 0.3, 30.0]),
+        (100.0, 0.1, [1e-320, 1e-8, 0.3, 30.0]),
+    ], ids=["tau-1-far", "tau-1-far-alpha-100", "tau-1-mixed", "overflow-far",
+            "overflow-near"])
+    def test_exponent_over_rows_equals_the_masks_row_by_row(self, alpha, tau, lams):
+        lams = np.array(lams)
+        v = analytic._origin_panel_rule(48)[0]
+        x = v / np.sqrt(math.pi * lams)[:, None]
+        got = analytic._exponent_g2(x, lams[:, None], alpha, tau)
+        for row, lam, values in zip(x, lams.tolist(), got):
+            if row.max() > analytic._X_UNBOUNDED:
+                continue
+            assert values.tobytes() == exponent_g2_reference(row, lam, alpha, tau).tobytes()
 
     @pytest.mark.parametrize("alpha, tau", [(4.0, 0.1), (4.0, 1.0), (4.0, 10.0), (100.0, 0.1),
                                             (100.0, 10.0)])
@@ -836,6 +901,37 @@ class TestCoverageCurve:
 
     def test_min_bounded_refused_as_cp_for_model(self):
         assert_curve_is_per_density(PathlossModel.MIN_BOUNDED, 4.0, 10.0, [1e-3, 0.3])
+
+    @pytest.mark.parametrize("lams, chunk, calls", [
+        # 6.30957 is the first to fail, last in its chunk of three; the
+        # chunk's two densities before it keep their rows
+        (np.geomspace(0.01, 10.0, 16).tolist(), 3, 1),
+        (np.geomspace(0.01, 10.0, 16).tolist(), 23, 1),
+        # an overflow beside it fails the chunk's call, and every density
+        # of the chunk goes alone, in order, until 6.31 raises
+        ([0.01, 0.1, 6.31, 1e308], 4, 3),
+    ], ids=["scan", "one-chunk", "overflow"])
+    def test_failing_density_alone_raises_as_the_loop(self, lams, chunk, calls):
+        # alpha 100 at 30 dB: a QuadratureError at the first density
+        # around 6.3, as the per-density loop raises it, with no chunk
+        # evaluated again
+        alpha, tau = 100.0, 1000.0
+        expected, failure = per_density(PathlossModel.BOUNDED_G2, alpha, tau, lams)
+        assert failure is not None and failure[0] is analytic.QuadratureError
+        seen = []
+
+        def counted(cfg):
+            seen.append(cfg.lambda_bs)
+            return cp_g2(cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, "_CURVE_CHUNK", chunk)
+            mp.setattr(analytic, "cp_g2", counted)
+            with pytest.raises(analytic.QuadratureError) as info:
+                analytic.coverage_curve(PathlossModel.BOUNDED_G2, alpha, tau, lams)
+        assert (type(info.value), str(info.value)) == failure
+        assert len(seen) == calls
+        assert seen[-1] == lams[len(expected)]
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
         # tracemalloc sees numpy's buffers; a curve of 400 densities, three

@@ -10,7 +10,8 @@ import pytest
 from densecov import specfun
 from densecov.specfun import erfcx, f1, f2, f3, hyf, hyf_shapes
 
-from oracles import erfc_defining_integral, euler_integral, hyf_series_reference
+from oracles import (erfc_cf_tail_reference, erfc_defining_integral, euler_integral,
+                     hyf_series_reference)
 
 # frozen from the defining-integral oracle (40-digit evaluation)
 ERFC_AT_1 = 0.15729920705028513066
@@ -73,6 +74,14 @@ class TestErfc:
                 ref = 1 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(mpmath.mpf(x) ** 2)
                            * mpmath.erfc(x)) - x
                 assert abs(specfun.erfc_cf_tail(x) - ref) <= 4e-16 * ref, x
+
+    def test_fraction_tail_keeps_the_bits_of_the_plain_loop(self):
+        # the numerators 0.5 * k are exact, so taking them from a table moves
+        # no bit: 40 002 arguments, dense near the switch and log-spaced to
+        # 1e300, hex-equal to the loop that forms each in its step
+        xs = np.concatenate([np.linspace(2.0, 6.0, 20001), np.geomspace(6.0, 1e300, 20001)])
+        for x in xs.tolist():
+            assert specfun.erfc_cf_tail(x).hex() == erfc_cf_tail_reference(x).hex(), x
 
     @pytest.mark.parametrize("x", [1.999, 0.0, -3.0, math.nan])
     def test_fraction_tail_refuses_arguments_below_the_switch(self, x):
@@ -196,6 +205,20 @@ class TestSeriesParity:
             w[rng.integers(w.size)] = top
             c = float(rng.uniform(1.0, 2.0))
             assert np.array_equal(specfun.hyf_series(w, c), hyf_series_reference(w, c))
+
+    @pytest.mark.parametrize("top", [0.5, 0.25, 1e-3, 0.0])
+    def test_private_loop_with_a_supplied_maximum(self, top):
+        # the g2 exponent hands the loop its arguments' exact maximum in
+        # place of hyf_series' two checking reductions; the loop only reads w
+        rng = np.random.default_rng(int(1e4 * top) + 7)
+        for _ in range(100):
+            w = rng.uniform(0.0, top, int(rng.integers(1, 300)))
+            w[rng.integers(w.size)] = top
+            w.flags.writeable = False
+            c = float(rng.uniform(1.0, 2.0))
+            got = specfun._hyf_series(w, c, top)
+            assert got.tobytes() == hyf_series_reference(w, c).tobytes()
+            assert got.tobytes() == specfun.hyf_series(w, c).tobytes()
 
     @pytest.mark.parametrize("c", [1.0, 1.2, 1.5, 1.9, 2.0])
     @pytest.mark.parametrize("w", [np.zeros(7), np.array([]), np.array([0.5]),
