@@ -150,73 +150,63 @@ def _pi_lambda(lam: float) -> float:
 
 
 def expectation_over_serving_distance(exponent, lam: float) -> float:
-    """E[exp(-exponent(x))] over the serving distance x.
+    """E[exp(-exponent(x))] over the serving distance x: the one-row call
+    of _expectation_rows.
 
     exponent must accept a distance array and return nonnegative values in
-    a new float array of the same shape, which the integrand overwrites.
+    a new float array of the same shape, which the integrand overwrites.  A
+    density that is not positive (NaN included) raises a ValueError, and
+    one whose pi lam overflows an OverflowError, before any node is
+    computed; a rule that does not converge raises a QuadratureError.
     """
-    sqrt_a = math.sqrt(_pi_lambda(lam))
-
-    def evaluate(nodes: int) -> float:
-        v, wts, neg_v2, two_v = _origin_panel_rule(nodes)
-        x = v / sqrt_a
-        # the exponent is nonnegative, so one that overflows to +inf is a
-        # zero integrand
-        with np.errstate(over="ignore"):
-            y = exponent(x)
-            np.subtract(neg_v2, y, out=y)
-            np.exp(y, out=y)
-            y *= two_v
-        return float(wts @ y)
-
-    nodes = _PANEL_NODES
-    prev = evaluate(nodes)
-    for _ in range(_MAX_NODE_DOUBLINGS):
-        nodes *= 2
-        cur = evaluate(nodes)
-        if abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lam:g} "
-        f"({nodes} nodes per panel)"
-    )
+    return _expectation_rows(lambda x, _: exponent(x), [lam])[0]
 
 
 def _expectation_rows(exponent, lams: list[float]) -> list[float]:
-    """expectation_over_serving_distance at each of a few densities, by one
-    exponent(x, lam) call per node count on a row of nodes per density that
-    has not converged and the column of those densities.  Each row has its
-    own sum and its own doublings, so each keeps the bits of its own call.
-    Returns the values of the densities before the first that does not
-    converge: all of them where every density converges."""
+    """The quadrature engine: E[exp(-exponent(x, lam))] over the serving
+    distance x at each of a few densities lam, by one exponent(x, lam) call
+    per node count on a row of nodes per unconverged density and the column
+    of those densities.  Each row has its own sum and doublings, so its
+    value does not depend on the rows beside it.  A QuadratureError names
+    the first density that does not converge."""
+    for lam in lams:
+        if not lam > 0.0:
+            raise ValueError(f"density must be positive, got lambda={lam:g} BS/m^2")
     sqrt_a = np.array([math.sqrt(_pi_lambda(lam)) for lam in lams])[:, None]
     col = np.array(lams)[:, None]
     rows = list(range(len(lams)))
     prev, out = [0.0] * len(lams), [0.0] * len(lams)
+    # the exponent is nonnegative, so one that overflows to +inf is a zero
+    # integrand
     with np.errstate(over="ignore"):
         for level in range(_MAX_NODE_DOUBLINGS + 1):
             v, wts, neg_v2, two_v = _origin_panel_rule(_PANEL_NODES << level)
             y = exponent(v / sqrt_a, col)
-            np.subtract(neg_v2, y, out=y)
-            np.exp(y, out=y)
-            y *= two_v
-            # each row by its own dot product: a matrix product could order
-            # the sum differently
             keep = []
             for j, i in enumerate(rows):
-                cur = float(wts @ y[j])
+                # row by row, and each by its own dot product: a matrix
+                # product could order the sum differently
+                row = y[j]
+                np.subtract(neg_v2, row, out=row)
+                np.exp(row, out=row)
+                row *= two_v
+                cur = float(wts @ row)
                 if level and abs(cur - prev[i]) <= _REL_TOL * max(abs(cur), 1e-300):
                     out[i] = cur
                 else:
                     prev[i] = cur
                     keep.append(j)
+            # freed for the next exponent call to reuse: 2-3 us a one-row call
+            del y, row
             if not keep:
                 return out
             if len(keep) < len(rows):
                 sqrt_a, col = sqrt_a[keep], col[keep]
                 rows = [rows[j] for j in keep]
-    return out[:rows[0]]
+    raise QuadratureError(
+        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lams[rows[0]]:g} "
+        f"({_PANEL_NODES << _MAX_NODE_DOUBLINGS} nodes per panel)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +469,11 @@ def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list
     of a 1-d sequence, bit for bit and in order.
 
     g2 goes around cp_g2: the curve evaluates _exponent_g2 on a few
-    densities per call.  Where a density of a chunk does not converge, the
-    chunk keeps the densities before it and that density goes through
-    cp_g2 alone, where it raises what it raises alone; where a chunk fails
-    otherwise (an overflow, say), all of its densities go through cp_g2 one
-    at a time.  The closed forms, the refusal of
+    densities per call of the quadrature engine that cp_g2 calls with one.
+    Where densities of a chunk do not converge, the engine raises the
+    QuadratureError of the first, as cp_g2 raises it alone; where a chunk
+    fails otherwise (an overflow, say), all of its densities go through
+    cp_g2 one at a time.  The closed forms, the refusal of
     min(1, d^-alpha) and a grid with an invalid density go through
     cp_for_model one density at a time.
     """
@@ -507,12 +497,13 @@ def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list
         chunk = grid[start:start + _CURVE_CHUNK].tolist()
         try:
             got = _expectation_rows(exponent, chunk)
+        except QuadratureError:
+            # the chunk's first density that did not converge, as alone
+            raise
         except Exception:
-            # an overflow, say: every density of the chunk as alone
-            got = []
-        # from the first density that did not converge on, one density at a
-        # time, so that it raises what it raises alone
-        got += [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk[len(got):]]
+            # an overflow, say: every density of the chunk as alone, in
+            # order, so that the first to fail raises what it raises alone
+            got = [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk]
         vals[start:start + len(chunk)] = got
     return [_cp(val, "quadrature") for val in vals.tolist()]
 
@@ -574,10 +565,14 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
 def golden_section_max(fn, lo: float, hi: float, rel_tol: float = _ARGMAX_REL_TOL) -> float:
     """Derivative-free maximizer of a unimodal positive-argument function.
 
-    Works on log-density so rel_tol bounds |lam - lam*|/lam*.  A coarse scan
-    first brackets the peak; a maximum sitting on a bracket edge (monotone
-    objective) raises BracketError, and so does a constant one.
+    Works on log-density so rel_tol bounds |lam - lam*|/lam*, down to the
+    spacing of floats near log(lam*), where the search stops; rel_tol must
+    be positive and finite.  A coarse scan first brackets the peak; a
+    maximum sitting on a bracket edge (monotone objective) raises
+    BracketError, and so does a constant one.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     grid = _scan_grid(lo, hi)
     return _golden_section(fn, grid, [fn(g) for g in grid], rel_tol)
 
@@ -604,7 +599,7 @@ def _golden_section(fn, grid, scan: list[float], rel_tol: float) -> float:
     u2 = u_lo + invphi * (u_hi - u_lo)
     f1 = fn(math.exp(u1))
     f2 = fn(math.exp(u2))
-    while u_hi - u_lo > rel_tol:
+    while (width := u_hi - u_lo) > rel_tol:
         if f1 < f2:
             u_lo, u1, f1 = u1, u2, f2
             u2 = u_lo + invphi * (u_hi - u_lo)
@@ -613,6 +608,9 @@ def _golden_section(fn, grid, scan: list[float], rel_tol: float) -> float:
             u_hi, u2, f2 = u2, u1, f1
             u1 = u_hi - invphi * (u_hi - u_lo)
             f1 = fn(math.exp(u1))
+        if u_hi - u_lo >= width:
+            # rounding no longer shrinks the log-bracket
+            break
     # a scan peak on a bracket edge that the search never left is the
     # maximum of a monotone objective, not an interior one
     if imax == 0 and u_lo == edge_lo:

@@ -178,6 +178,16 @@ class TestQuadratureEngine:
         with pytest.raises(OverflowError, match="lambda="):
             expectation_over_serving_distance(lambda x: x, lam)
 
+    @pytest.mark.parametrize("lam, name", [(0.0, "0"), (-1.0, "-1"), (math.nan, "nan"),
+                                           (np.float64(-0.0), "-0"), (-math.inf, "-inf")])
+    def test_density_that_is_not_positive_raises_value_error(self, lam, name):
+        # refused before any node: the exponent is never called
+        def exponent(x):
+            raise AssertionError("a node was computed")
+
+        with pytest.raises(ValueError, match=f"lambda={name} "):
+            expectation_over_serving_distance(exponent, lam)
+
 
 @pytest.mark.parametrize("lam", [1e308, np.float64(1e308)])
 @pytest.mark.parametrize("route", [
@@ -691,6 +701,31 @@ class TestOptimalDensity:
         with pytest.raises(ValueError, match="bracket"):
             optimal_density_numeric(cfg_at(1.0), PathlossModel.BOUNDED_G2, bracket=(lo, hi))
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, rel_tol):
+        def objective(lam):
+            raise AssertionError("the objective was evaluated")
+
+        with pytest.raises(ValueError, match="rel_tol"):
+            golden_section_max(objective, 0.1, 10.0, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("peak, lo, hi", [(1.0, 0.1, 10.0), (3e5, 1e3, 1e8)])
+    def test_unreachable_tolerance_stops_at_float_resolution(self, peak, lo, hi):
+        # rounding cannot resolve the peak's log-density to 1e-300; the
+        # search stops where the log-bracket stops shrinking, and a search
+        # that runs on fails here rather than hanging
+        calls = []
+
+        def objective(lam):
+            calls.append(lam)
+            if len(calls) > 1000:
+                raise AssertionError("the search does not stop")
+            return -math.log(lam / peak) ** 2
+
+        num = golden_section_max(objective, lo, hi, rel_tol=1e-300)
+        assert abs(num - peak) <= 1e-15 * peak
+        assert len(calls) < 200
+
     @pytest.mark.parametrize("at", [0.3 / 15.0, 14.7 / 15.0], ids=["first", "last"])
     def test_peak_inside_an_edge_scan_interval(self, at):
         # the 16-point scan peaks on the bracket edge, yet the maximum is
@@ -884,12 +919,16 @@ class TestCoverageCurve:
         # overflow, in one chunk, and after computed densities
         (100.0, 1000.0, [6.31, 1e308]),
         (100.0, 1000.0, [0.01, 0.1, 6.31, 1e308, 1e-3]),
+        # two failing densities in one chunk raise the first one's message
+        (100.0, 1000.0, [7.0, 6.31]),
+        (100.0, 1000.0, [0.01, 6.31, 7.0, 8.0]),
         # invalid densities raise as NetworkConfig does, in grid order
         (4.0, 10.0, [0.0]),
         (4.0, 10.0, [1e-3, math.nan]),
         (100.0, 1000.0, [6.31, math.nan]),
     ], ids=["tiny-near-mixed", "tiny-chunk", "96-nodes", "192-nodes", "3", "4", "5", "8",
-            "9", "quadrature-before-overflow", "failure-after-values", "zero", "nan",
+            "9", "quadrature-before-overflow", "failure-after-values", "two-failures",
+            "two-failures-after-a-value", "zero", "nan",
             "quadrature-before-nan"])
     def test_fixed_cases_equal_cp_for_model(self, model, alpha, tau, lams):
         assert_curve_is_per_density(model, alpha, tau, lams)
@@ -903,10 +942,10 @@ class TestCoverageCurve:
         assert_curve_is_per_density(PathlossModel.MIN_BOUNDED, 4.0, 10.0, [1e-3, 0.3])
 
     @pytest.mark.parametrize("lams, chunk, calls", [
-        # 6.30957 is the first to fail, last in its chunk of three; the
-        # chunk's two densities before it keep their rows
-        (np.geomspace(0.01, 10.0, 16).tolist(), 3, 1),
-        (np.geomspace(0.01, 10.0, 16).tolist(), 23, 1),
+        # 6.30957 is the first to fail, last in its chunk of three, and
+        # its chunk's call raises it
+        (np.geomspace(0.01, 10.0, 16).tolist(), 3, 0),
+        (np.geomspace(0.01, 10.0, 16).tolist(), 23, 0),
         # an overflow beside it fails the chunk's call, and every density
         # of the chunk goes alone, in order, until 6.31 raises
         ([0.01, 0.1, 6.31, 1e308], 4, 3),
@@ -931,7 +970,8 @@ class TestCoverageCurve:
                 analytic.coverage_curve(PathlossModel.BOUNDED_G2, alpha, tau, lams)
         assert (type(info.value), str(info.value)) == failure
         assert len(seen) == calls
-        assert seen[-1] == lams[len(expected)]
+        if calls:
+            assert seen[-1] == lams[len(expected)]
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
         # tracemalloc sees numpy's buffers; a curve of 400 densities, three
