@@ -238,18 +238,15 @@ def _exponent_g2(x, lam, alpha: float, tau: float):
     K = 2 pi lam tau/(a-2), F = specfun.hyf_series, and
     (1+x^a) D^(-b) = (1+x^a)^(2/a) (tau + u)^(-b).  Where x^a overflows,
     u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha
-    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x holds
-    distances, and the branch choice relies on x >= 0.  lam is one density,
-    or densities that broadcast to x's shape, such as a column for rows of
-    nodes; every node's value is that of its density alone.  Each pass
-    writes into an array the call owns, and x is only read.
+    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x is an
+    array (not 0-d) of distances x >= 0, on which the branch choice relies;
+    lam is one density, or densities that broadcast to x's shape, such as a
+    column for rows of nodes.  Every node's value is that of its density
+    alone.  Each pass writes into an array the call owns; x is only read.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         return np.empty_like(x)
-    if not x.ndim:
-        # the passes below work in place, which needs an array
-        return _exponent_g2(x.reshape(1), lam, alpha, tau).reshape(())
     if x.max() > _X_UNBOUNDED:
         huge = x > _X_UNBOUNDED
         lam = np.broadcast_to(lam, x.shape)
@@ -311,22 +308,17 @@ def _exponent_g2(x, lam, alpha: float, tau: float):
     if not n_near:
         return far(k, x, grow, tau_u, w, float(w.min()), False)
     is_far = ~is_near
+    k = np.broadcast_to(k, x.shape)
     w_far = w[is_far]
-    out_far = far(_at(k, is_far), x[is_far], grow[is_far], tau_u[is_far], w_far,
+    out_far = far(k[is_far], x[is_far], grow[is_far], tau_u[is_far], w_far,
                   float(w_far.min()), False)
     x_near, w_near = x[is_near], w[is_near]
     # the far nodes' values of grow were gathered above, so its array takes
     # the result
-    grow[is_near] = near(_at(k, is_near), np.multiply(x_near, x_near, out=x_near), w_near,
+    grow[is_near] = near(k[is_near], np.multiply(x_near, x_near, out=x_near), w_near,
                          float(w_near.max()))
     grow[is_far] = out_far
     return grow
-
-
-def _at(k, mask):
-    """k at the nodes a mask selects: one density's float as it is, an
-    array broadcast to the mask's shape first."""
-    return k if isinstance(k, float) else np.broadcast_to(k, mask.shape)[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +458,23 @@ def cp_for_model(cfg: NetworkConfig, model: PathlossModel) -> CpValue:
 
 def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list[CpValue]:
     """cp_for_model(NetworkConfig(lam, alpha, tau), model) at each density
-    of a 1-d sequence, bit for bit and in order.
+    of a 1-d sequence, bit for bit and in order, or the failure of the first
+    density that fails alone.
 
-    g2 goes around cp_g2: the curve evaluates _exponent_g2 on a few
-    densities per call of the quadrature engine that cp_g2 calls with one.
-    Where densities of a chunk do not converge, the engine raises the
-    QuadratureError of the first, as cp_g2 raises it alone; where a chunk
-    fails otherwise (an overflow, say), all of its densities go through
-    cp_g2 one at a time.  The closed forms, the refusal of
-    min(1, d^-alpha) and a grid with an invalid density go through
-    cp_for_model one density at a time.
+    The closed forms and the refusal of min(1, d^-alpha) go through
+    cp_for_model one density at a time.  g2 goes around cp_g2: a chunk of a
+    few densities is one call of the quadrature engine that cp_g2 calls
+    with one.  The engine raises the QuadratureError of a chunk's first
+    density that does not converge, as cp_g2 raises it alone; a chunk that
+    fails otherwise (an overflow, or an invalid density) goes through cp_g2
+    one density at a time, where NetworkConfig refuses an invalid one.
     """
     grid = np.asarray(lams, dtype=float)
     if grid.ndim != 1 or not grid.size:
         raise ValueError("lams must be a non-empty 1-d sequence of densities")
-    if model is not PathlossModel.BOUNDED_G2 or not np.all((0.0 < grid) & (grid < math.inf)):
-        # a closed form or the refusal; or an invalid density, which a
-        # density before it may precede with a failure of its own
+    if model is not PathlossModel.BOUNDED_G2:
         return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in grid.tolist()]
-    # alpha and tau as the first density's configuration checks them
+    # alpha, tau and the first density as its configuration checks them
     cfg = NetworkConfig(float(grid[0]), alpha, tau)
 
     def exponent(x, lam):
@@ -501,8 +491,8 @@ def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list
             # the chunk's first density that did not converge, as alone
             raise
         except Exception:
-            # an overflow, say: every density of the chunk as alone, in
-            # order, so that the first to fail raises what it raises alone
+            # an overflow or an invalid density: each density of the chunk
+            # alone, in order, so that the first to fail raises as alone
             got = [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk]
         vals[start:start + len(chunk)] = got
     return [_cp(val, "quadrature") for val in vals.tolist()]
@@ -585,7 +575,15 @@ def _scan_grid(lo: float, hi: float):
 
 
 def _golden_section(fn, grid, scan: list[float], rel_tol: float) -> float:
-    """golden_section_max from fn's values on the scan grid."""
+    """golden_section_max from fn's values on the scan grid.  A NaN, which
+    the search would compare as a number, raises a FloatingPointError at
+    the first density, of the scan and then the steps, where fn is NaN."""
+    def checked(lam, val):
+        if math.isnan(val):
+            raise FloatingPointError(f"objective is NaN at lambda={lam:g} BS/m^2")
+        return val
+
+    scan = list(map(checked, grid.tolist(), scan))
     if min(scan) == max(scan):
         raise BracketError(f"objective is constant on the bracket, {scan[0]:g} at every point")
     imax = int(np.argmax(scan))
@@ -597,17 +595,17 @@ def _golden_section(fn, grid, scan: list[float], rel_tol: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     u1 = u_hi - invphi * (u_hi - u_lo)
     u2 = u_lo + invphi * (u_hi - u_lo)
-    f1 = fn(math.exp(u1))
-    f2 = fn(math.exp(u2))
+    f1 = checked(lam := math.exp(u1), fn(lam))
+    f2 = checked(lam := math.exp(u2), fn(lam))
     while (width := u_hi - u_lo) > rel_tol:
         if f1 < f2:
             u_lo, u1, f1 = u1, u2, f2
             u2 = u_lo + invphi * (u_hi - u_lo)
-            f2 = fn(math.exp(u2))
+            f2 = checked(lam := math.exp(u2), fn(lam))
         else:
             u_hi, u2, f2 = u2, u1, f1
             u1 = u_hi - invphi * (u_hi - u_lo)
-            f1 = fn(math.exp(u1))
+            f1 = checked(lam := math.exp(u1), fn(lam))
         if u_hi - u_lo >= width:
             # rounding no longer shrinks the log-bracket
             break

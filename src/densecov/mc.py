@@ -134,7 +134,8 @@ class Realization:
             raise ValueError("fading gains must be positive")
         if not np.all(self.distances >= 0.0):
             raise ValueError("distances must be >= 0")
-        if not np.all(np.diff(self.distances) >= 0.0):
+        # neighbours compared, not subtracted: inf - inf is NaN and warns
+        if not np.all(self.distances[1:] >= self.distances[:-1]):
             raise ValueError("distances must be ascending, the serving station first")
 
 

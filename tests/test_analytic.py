@@ -371,8 +371,8 @@ class TestCpG2:
         (4.0, 0.5, np.geomspace(1e-6, 1e3, 50)),           # both
         # w rounds to 1/2 at the three largest; x^4 overflows at the last two
         (4.0, 1.0, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
-        (4.0, 0.1, np.float64(20.0)),                      # a scalar, near
-        (4.0, 10.0, np.float64(0.3)),                      # a scalar, far
+        (4.0, 0.1, np.array([20.0])),                      # one node, near
+        (4.0, 10.0, np.array([0.3])),                      # one node, far
         # tau/(1+tau) as rounded just below 1/2, and just above it twice:
         # there every node is far without a mask
         (4.0, 1.0 - 2.0**-53, np.geomspace(1e-6, 1e80, 60)),
@@ -383,13 +383,13 @@ class TestCpG2:
         (100.0, 10.0, np.array([0.5, 2.0, 1e3, 1e5, 1e80, 1e100])),
         (4.0, 0.1, np.array([0.5, 2.0, 1e5, 1e80, 1e100])),
         (4.0, 10.0, np.array([])),                         # no node
-        # scalars where numpy's power of a 0-d value rounds differently
-        # from its power of an array
-        (3.7, 0.01, np.float64(0.7)),
-        (100.0, 0.5, np.float64(0.7)),
-    ], ids=["near", "far", "mixed", "overflow", "scalar-near", "scalar-far",
+        # one node at arguments where numpy's power of a 0-d value would
+        # round differently from its power of an array
+        (3.7, 0.01, np.array([0.7])),
+        (100.0, 0.5, np.array([0.7])),
+    ], ids=["near", "far", "mixed", "overflow", "one-node-near", "one-node-far",
             "below-half", "above-half", "above-half-1e-6", "overflow-far",
-            "overflow-near", "empty", "scalar-pow-near", "scalar-pow-far"])
+            "overflow-near", "empty", "one-node-pow-near", "one-node-pow-far"])
     def test_exponent_takes_each_branch_as_the_masks_do(self, alpha, tau, x):
         got = analytic._exponent_g2(x, 0.3, alpha, tau)
         ref = exponent_g2_reference(x, 0.3, alpha, tau)
@@ -403,8 +403,8 @@ class TestCpG2:
         (4.0, 0.5, np.geomspace(1e-6, 1e3, 50)),
         (100.0, 10.0, np.array([0.5, 2.0, 1e3, 1e5, 1e80, 1e100])),
         (4.0, 10.0, np.array([1.0, 1e150])),
-        (4.0, 0.1, np.float64(0.7)),
-    ], ids=["near", "far", "far-by-count", "mixed", "overflow-far", "unbounded", "scalar"])
+        (4.0, 0.1, np.array([0.7])),
+    ], ids=["near", "far", "far-by-count", "mixed", "overflow-far", "unbounded", "one-node"])
     def test_exponent_leaves_its_input_untouched(self, alpha, tau, x):
         # the passes work in arrays of the call's own, never in x
         x = np.array(x)
@@ -735,6 +735,34 @@ class TestOptimalDensity:
         num = golden_section_max(lambda lam: -math.log(lam / peak) ** 2, lo, hi)
         assert abs(num - peak) <= 1e-6 * peak
 
+    @pytest.mark.parametrize("nan_at, where", [
+        # every scan density above 1: a NaN read as a number there would
+        # return 0.8577 for the peak at 0.5
+        (lambda lam: lam > 1.0, "scan"),
+        # no scan density, only the steps around the peak
+        (lambda lam: 0.52 < lam < 0.6, "step"),
+    ], ids=["scan", "step"])
+    def test_nan_objective_raises_at_its_first_density(self, nan_at, where):
+        calls = []
+
+        def objective(lam):
+            calls.append(lam)
+            return math.nan if nan_at(lam) else -math.log(lam / 0.5) ** 2
+
+        with pytest.raises(FloatingPointError) as info:
+            golden_section_max(objective, 0.1, 10.0)
+        first = next(lam for lam in calls if nan_at(lam))
+        assert str(info.value) == f"objective is NaN at lambda={first:g} BS/m^2"
+        # the scan evaluates all its densities before it is read
+        assert (len(calls) == analytic._SCAN_POINTS) == (where == "scan")
+        if where == "step":
+            assert calls[-1] == first
+
+    def test_objective_nan_everywhere_raises_at_the_first_density(self):
+        # not as a bracket failure: "objective is decreasing on the bracket"
+        with pytest.raises(FloatingPointError, match=r"^objective is NaN at lambda=0\.1 BS/m\^2$"):
+            golden_section_max(lambda lam: math.nan, 0.1, 10.0)
+
     def test_min_bounded_rejected(self):
         with pytest.raises(UnsupportedPathlossError):
             optimal_density_numeric(cfg_at(1.0), PathlossModel.MIN_BOUNDED)
@@ -922,14 +950,19 @@ class TestCoverageCurve:
         # two failing densities in one chunk raise the first one's message
         (100.0, 1000.0, [7.0, 6.31]),
         (100.0, 1000.0, [0.01, 6.31, 7.0, 8.0]),
-        # invalid densities raise as NetworkConfig does, in grid order
+        # invalid densities raise as NetworkConfig does, in grid order: g2
+        # sends the chunk that holds one through cp_g2 a density at a time,
+        # also in a later chunk, after computed ones, and where the chunk's
+        # engine call raises an OverflowError at inf
         (4.0, 10.0, [0.0]),
         (4.0, 10.0, [1e-3, math.nan]),
         (100.0, 1000.0, [6.31, math.nan]),
+        (4.0, 10.0, [1e-3, 0.01, 0.1, 0.3, 1.0, -1.0]),
+        (4.0, 10.0, [1e-3, 0.3, math.inf]),
     ], ids=["tiny-near-mixed", "tiny-chunk", "96-nodes", "192-nodes", "3", "4", "5", "8",
             "9", "quadrature-before-overflow", "failure-after-values", "two-failures",
             "two-failures-after-a-value", "zero", "nan",
-            "quadrature-before-nan"])
+            "quadrature-before-nan", "invalid-after-values", "inf"])
     def test_fixed_cases_equal_cp_for_model(self, model, alpha, tau, lams):
         assert_curve_is_per_density(model, alpha, tau, lams)
 
@@ -937,6 +970,19 @@ class TestCoverageCurve:
     def test_grid_must_be_a_non_empty_1d_sequence(self, lams):
         with pytest.raises(ValueError, match="non-empty 1-d"):
             analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 23])
+    @pytest.mark.parametrize("lams", [
+        [1e-3, 0.01, 0.1, 0.3, 1.0, -1.0],
+        [1e-3, 0.3, math.inf],
+        [math.nan, 0.3],
+    ], ids=["negative-last", "inf-last", "nan-first"])
+    def test_invalid_density_raises_as_the_loop_in_any_chunk(self, lams, chunk):
+        # alone in its chunk, last in a chunk after computed ones, or in
+        # the one chunk: NetworkConfig's message for it, in grid order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, "_CURVE_CHUNK", chunk)
+            assert_curve_is_per_density(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
 
     def test_min_bounded_refused_as_cp_for_model(self):
         assert_curve_is_per_density(PathlossModel.MIN_BOUNDED, 4.0, 10.0, [1e-3, 0.3])

@@ -95,6 +95,9 @@ NUMERICAL_FAILURES = [
     (["cp-sweep", "--model", "g2", "--alpha", "2000", "--lambda-min", "1e-6", "--points", "9"],
      "beta = 2^(alpha-2) c1 overflows at alpha=2000"),
     (["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"], "overflows"),
+    # the g2 scan's last chunk, 1e308 alone, goes through cp_g2 alone
+    (["optimal-density", "--model", "g2", "--lambda-max", "1e308"],
+     "(OverflowError): pi*lambda overflows at lambda=1e+308 BS/m^2\n"),
     (["optimal-density", "--alpha", "2000"], "2^alpha/(pi c_hat) overflows at alpha=2000"),
     (["cp-sweep", "--alpha", "1e17", "--points", "1"], "1 - 1/alpha rounds to 1"),
     (["cp-sweep", "--lambda-min", "1e308", "--lambda-max", "1e308", "--points", "1"],

@@ -188,6 +188,11 @@ class TestSampleNetwork:
             with pytest.raises(ValueError):
                 Realization(np.array(distances), np.array(fading))
 
+    def test_realization_takes_equal_infinite_distances(self):
+        # ascending by comparison, so inf after inf neither warns nor fails
+        r = Realization([1.0, math.inf, math.inf], [1.0, 1.0, 1.0])
+        assert r.distances.tolist() == [1.0, math.inf, math.inf]
+
     @pytest.mark.parametrize("distances, fading, shape", [
         ([[1.0, 2.0]], [[0.5, 0.7]], "(1, 2)"),
         (1.0, [0.5], "()"),
