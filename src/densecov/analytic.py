@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .model import NetworkConfig, PathlossModel, derived_constants
+from .model import NetworkConfig, PathlossModel, _require_model, derived_constants
 
 # v-space quadrature: with v = sqrt(pi lam) x the weight becomes 2 v exp(-v^2),
 # which is negligible beyond _V_MAX regardless of the model (exponents only add
@@ -436,13 +436,15 @@ def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
 def coverage_curves(model: PathlossModel) -> tuple:
     """The model's coverage curves (exact, lower, upper), None where it has
     none; looked up at each call, so a wrapper put in this namespace is used
-    by cp_for_model (coverage_curve's g2 batch goes around cp_g2)."""
+    by cp_for_model (coverage_curve's g2 batch goes around cp_g2).  A model
+    that is not a PathlossModel raises TypeError."""
     if model is PathlossModel.UNBOUNDED:
         return cp_upm, None, None
     if model is PathlossModel.BOUNDED_G1:
         return cp_g1_closed, cp_g1_lower, cp_g1_upper
     if model is PathlossModel.BOUNDED_G2:
         return cp_g2, cp_g2_lower, cp_g2_upper
+    _require_model(model)
     return None, None, None
 
 
@@ -544,7 +546,9 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
     point of lam e^(-kappa_upper lam)."""
     dc = derived_constants(alpha, tau)
     try:
-        lam = 2.0**alpha / (math.pi * dc.c_hat)
+        # 2^a alone overflows from a = 1024, where 2^a/(pi c_hat) may not
+        lam = (2.0**alpha / (math.pi * dc.c_hat) if alpha < 1024.0
+               else math.ldexp(2.0 ** (alpha % 1.0) / (math.pi * dc.c_hat), int(alpha)))
     except OverflowError:
         lam = math.inf
     if lam == math.inf:

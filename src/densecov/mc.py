@@ -71,8 +71,8 @@ def window_radius(lambda_bs: float) -> float:
     interference decays like R^(2-alpha), so shallow pathloss biases coverage
     up: z = 10.5 for g2 at alpha = 2.5 with 1e5 trials (ROADMAP item 13).
     """
-    if not lambda_bs > 0.0:
-        raise ValueError(f"lambda_bs must be positive, got {lambda_bs}")
+    if not 0.0 < lambda_bs < math.inf:
+        raise ValueError(f"lambda_bs must be positive and finite, got {lambda_bs}")
     return max(MIN_WINDOW_RADIUS, WINDOW_K / math.sqrt(math.pi * lambda_bs))
 
 

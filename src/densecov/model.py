@@ -64,8 +64,10 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
     The unbounded law rejects d = 0: its singularity there (gain above one,
     received power exceeding transmitted) is exactly the defect the bounded
     models remove.  A distance whose square overflows gets gain 0, and one
-    whose square underflows gets the gain at d = 0 (inf under upm).
+    whose square underflows gets the gain at d = 0 (inf under upm).  A model
+    that is not a PathlossModel, such as its tag, raises TypeError.
     """
+    _require_model(model)
     arr = np.asarray(d, dtype=float)
     if not np.all(arr >= 0.0):  # phrased so that NaN fails too
         raise ValueError("distance must be >= 0")
@@ -77,6 +79,14 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
         d2 = np.multiply(arr, arr, out=np.empty_like(arr))
     out = _gain(model, alpha, d2, d2)
     return float(out) if arr.ndim == 0 else out
+
+
+def _require_model(model) -> None:
+    """Refuse a model that is not a PathlossModel: every law test would pass
+    it over to the code without a test of its own, d^-alpha in _gain and
+    the min(1, d^-alpha) refusal in analytic.coverage_curves."""
+    if not isinstance(model, PathlossModel):
+        raise TypeError(f"model must be a PathlossModel, got {model!r}")
 
 
 def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -> np.ndarray:

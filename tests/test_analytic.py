@@ -522,6 +522,17 @@ class TestCpG2:
             assert lo2 <= cp_g1_lower(cfg_at(lam)).value + 1e-9
             assert cp_g2_upper(cfg_at(lam)).value >= cp_g1_upper(cfg_at(lam)).value - 1e-9
 
+    @pytest.mark.parametrize("call", [
+        lambda: analytic.coverage_curves("g2"),
+        lambda: cp_for_model(cfg_at(0.1), "g2"),
+        lambda: analytic.coverage_curve("g2", 4.0, 10.0, [0.1, 0.3]),
+        lambda: optimal_density_numeric(cfg_at(1.0), "g2"),
+    ], ids=["coverage_curves", "cp_for_model", "coverage_curve", "optimal_density_numeric"])
+    def test_curves_refuse_a_tag_for_a_model(self, call):
+        # the tag "g2" fell through to the min(1, d^-alpha) refusal
+        with pytest.raises(TypeError, match="model must be a PathlossModel, got 'g2'"):
+            call()
+
     def test_dispatcher_rejects_min_bounded(self):
         with pytest.raises(UnsupportedPathlossError):
             cp_for_model(cfg_at(0.1), PathlossModel.MIN_BOUNDED)
@@ -648,6 +659,23 @@ class TestOptimalDensity:
         dc = derived_constants(**A4T10)
         assert star == pytest.approx(LAMBDA_STAR_U_A4_T10, rel=1e-12)
         assert star * math.pi * dc.c_hat == pytest.approx(2.0**4, rel=1e-12)
+
+    # 6.1675e307 and 1.4235e308
+    @pytest.mark.parametrize("alpha, tau", [(1024.0, 1e300), (1024.5, 1e250)])
+    def test_closed_form_where_only_2_to_the_alpha_overflows(self, alpha, tau):
+        star = optimal_density_closed(alpha, tau)
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(2) ** alpha / (mpmath.pi * derived_constants(alpha, tau).c_hat)
+            assert abs(star - exact) <= 2 * math.ulp(star)
+        # the envelope's tail, 10 times the optimum, lies past the float
+        # range, so no finite grid reaches it
+        with pytest.raises(ValueError, match="does not reach the large-density regime"):
+            scaling_envelope_check(alpha, tau, [1.0, 1.7e308])
+
+    def test_closed_form_overflow_is_refused(self):
+        # 2^1030/(pi c_hat) is 4.0e309 at tau = 1e300
+        with pytest.raises(OverflowError, match=r"2\^alpha/\(pi c_hat\) overflows at alpha=1030"):
+            optimal_density_closed(1030.0, 1e300)
 
     def test_inverse_proportionality_in_chat(self):
         # doubling the decay constant halves the maximizer

@@ -110,6 +110,39 @@ NUMERICAL_FAILURES = [
     # every g1 coverage underflows at 3000 dB: ASE is 0 over the bracket
     (["optimal-density", "--model", "g1", "--tau-db", "3000"],
      "objective is constant on the bracket"),
+    # the scan's chunk holding 6.30957 fails in its one engine call
+    (["optimal-density", "--model", "g2", "--alpha", "100", "--tau-db", "30",
+      "--lambda-min", "0.01", "--lambda-max", "10"],
+     "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.30957 "),
+    # the same failure as a one-row call of the engine
+    (["cp-sweep", "--model", "g2", "--alpha", "100", "--tau-db", "30",
+      "--lambda-min", "6.31", "--lambda-max", "6.31", "--points", "1"],
+     "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.31 "),
+]
+
+
+# command lines that end in exit 0, and the branch of the g2 exponent or
+# of its caller that each reaches
+SUCCESSES = [
+    # the default model and operating point, as CI runs the console script
+    ["cp-sweep", "--points", "2"],
+    # the far nodes' x*x overflows at 1e-320 BS/m^2
+    ["cp-sweep", "--model", "g2", "--lambda-min", "1e-320", "--lambda-max", "1e-320",
+     "--points", "1"],
+    # near and far nodes, with x^alpha overflowing and w rounding to 1/2
+    ["cp-sweep", "--model", "g2", "--alpha", "100", "--tau-db", "0", "--points", "3"],
+    # every node far at 10 dB, with x^alpha overflowing
+    ["cp-sweep", "--model", "g2", "--alpha", "100", "--points", "3"],
+    # near only, both and far only as density grows
+    ["cp-sweep", "--model", "g2", "--tau-db", "-10", "--lambda-min", "1e-30",
+     "--lambda-max", "1e6", "--points", "3"],
+    # nodes past x = 2^480, near-only rows and a far-only row
+    ["cp-sweep", "--model", "g2", "--tau-db", "-10", "--lambda-min", "1e-320",
+     "--lambda-max", "1e3", "--points", "9"],
+    # a scan read from one coverage curve, three densities per exponent call
+    ["optimal-density", "--model", "g2", "--alpha", "3", "--tau-db", "0"],
+    # a model without analytic curves, simulated
+    ["ase-sweep", "--model", "minb", "--points", "2", "--trials", "200"],
 ]
 
 
@@ -247,6 +280,16 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as err:
             main(["cp-sweep", "--model", "bogus"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", SUCCESSES)
+def test_successes_exit_0(capsys, argv):
+    # the suite's filter makes a warning an error
+    assert main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cells = [c for row in parse_rows(captured.out) for c in row.values()]
+    assert cells and "nan" not in cells
 
 
 # the columns of each command's CSV, in order
@@ -551,8 +594,9 @@ class TestValidate:
         assert float(row["z_score"]) != 0.0
 
     def test_mismatched_models_disagree_where_the_curves_separate(self, capsys):
+        # at the default 10 000 trials
         rc, out = run_cli(capsys, "validate", "--model", "g1", "--mc-model", "g2",
-                          "--lambda-grid", "0.1", "--trials", "10000")
+                          "--lambda-grid", "0.1")
         assert rc == cli.EXIT_DISAGREEMENT
         assert abs(float(parse_rows(out)[0]["z_score"])) > 3.0
 

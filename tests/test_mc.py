@@ -63,8 +63,8 @@ class TestParams:
         assert window_radius(0.3) == pytest.approx(24.0 / math.sqrt(math.pi * 0.3))
         # the floor takes over at very high density
         assert window_radius(1e4) == 1.0
-        for lam in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="lambda_bs must be positive"):
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda_bs must be positive and finite"):
                 window_radius(lam)
 
     @pytest.mark.parametrize("kwargs", [
@@ -402,6 +402,11 @@ class TestSirSample:
             with pytest.raises(FloatingPointError):
                 sir_sample(r, PathlossModel.BOUNDED_G1, cfg.alpha)
 
+    def test_refuses_a_tag_for_a_model(self):
+        r = Realization(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        with pytest.raises(TypeError, match="got 'g2'"):
+            sir_sample(r, "g2", 4.0)
+
     def test_unbounded_rejects_station_at_origin(self):
         r = Realization(np.array([0.0, math.sqrt(2.0)]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
@@ -429,6 +434,15 @@ class TestKernel:
 
 
 class TestEstimates:
+    def test_refuses_a_tag_for_a_model_before_any_draw(self, monkeypatch):
+        # the tag "g2" was simulated as d^-alpha: mean 0.1995 against 0.005
+        def no_draw(*args):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(mc, "_covered_block", no_draw)
+        with pytest.raises(TypeError, match="model must be a PathlossModel, got 'g2'"):
+            estimate_cp(CFG, "g2", params_for(0.3, 2000))
+
     def test_threshold_to_zero_gives_certain_coverage(self):
         cfg = NetworkConfig(0.3, 4.0, 1e-12)
         est = estimate_cp(cfg, PathlossModel.BOUNDED_G1, params_for(0.3, 500))

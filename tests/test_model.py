@@ -72,6 +72,13 @@ class TestPathlossGain:
             hi = pathloss_gain(model, 4.0, d * (1.0 + 1e-9))
             assert abs(hi - lo) < 1e-7
 
+    @pytest.mark.parametrize("d", [0.5, 0.0])
+    def test_refuses_a_tag_for_a_model(self, d):
+        # the tag "g2" read as no law matched: 16 at d = 0.5 under d^-4, and
+        # inf at d = 0, where the unbounded law's own refusal was skipped
+        with pytest.raises(TypeError, match="model must be a PathlossModel, got 'g2'"):
+            pathloss_gain("g2", 4.0, d)
+
     def test_from_tag(self):
         assert PathlossModel.from_tag("g2") is PathlossModel.BOUNDED_G2
         with pytest.raises(ValueError):
