@@ -42,15 +42,6 @@ _MAX_NODE_DOUBLINGS = 3
 # successive node doublings must agree to this relative tolerance
 _REL_TOL = 1e-9
 
-# densities per exponent call of a coverage curve, which bounds a curve's
-# peak memory whatever its length.  Three rows of 48 nodes per panel are
-# about 3 900 nodes.  With a new array per pass, four rows outgrew what the
-# C allocator keeps of its heap after freeing them (glibc returns the freed
-# top to the system), and each call faulted their pages in again; the
-# in-place exponent faults none at six rows, which scan faster, but six
-# wait on the benchmark's peak-RSS fix (README, ROADMAP item 1)
-_CURVE_CHUNK = 3
-
 # log-spaced points of the coarse scan that brackets the peak of an objective
 _SCAN_POINTS = 16
 # relative width of log-density at which the golden section stops
@@ -150,8 +141,9 @@ def _pi_lambda(lam: float) -> float:
 
 
 def expectation_over_serving_distance(exponent, lam: float) -> float:
-    """E[exp(-exponent(x))] over the serving distance x: the one-row call
-    of _expectation_rows.
+    """The quadrature engine: E[exp(-exponent(x))] over the serving
+    distance x at one density lam, doubling the nodes per panel until two
+    sums agree.
 
     exponent must accept a distance array and return nonnegative values in
     a new float array of the same shape, which the integrand overwrites.  A
@@ -159,52 +151,27 @@ def expectation_over_serving_distance(exponent, lam: float) -> float:
     one whose pi lam overflows an OverflowError, before any node is
     computed; a rule that does not converge raises a QuadratureError.
     """
-    return _expectation_rows(lambda x, _: exponent(x), [lam])[0]
-
-
-def _expectation_rows(exponent, lams: list[float]) -> list[float]:
-    """The quadrature engine: E[exp(-exponent(x, lam))] over the serving
-    distance x at each of a few densities lam, by one exponent(x, lam) call
-    per node count on a row of nodes per unconverged density and the column
-    of those densities.  Each row has its own sum and doublings, so its
-    value does not depend on the rows beside it.  A QuadratureError names
-    the first density that does not converge."""
-    for lam in lams:
-        if not lam > 0.0:
-            raise ValueError(f"density must be positive, got lambda={lam:g} BS/m^2")
-    sqrt_a = np.array([math.sqrt(_pi_lambda(lam)) for lam in lams])[:, None]
-    col = np.array(lams)[:, None]
-    rows = list(range(len(lams)))
-    prev, out = [0.0] * len(lams), [0.0] * len(lams)
+    if not lam > 0.0:
+        raise ValueError(f"density must be positive, got lambda={lam:g} BS/m^2")
+    sqrt_a = math.sqrt(_pi_lambda(lam))
+    prev = 0.0
     # the exponent is nonnegative, so one that overflows to +inf is a zero
     # integrand
     with np.errstate(over="ignore"):
         for level in range(_MAX_NODE_DOUBLINGS + 1):
             v, wts, neg_v2, two_v = _origin_panel_rule(_PANEL_NODES << level)
-            y = exponent(v / sqrt_a, col)
-            keep = []
-            for j, i in enumerate(rows):
-                # row by row, and each by its own dot product: a matrix
-                # product could order the sum differently
-                row = y[j]
-                np.subtract(neg_v2, row, out=row)
-                np.exp(row, out=row)
-                row *= two_v
-                cur = float(wts @ row)
-                if level and abs(cur - prev[i]) <= _REL_TOL * max(abs(cur), 1e-300):
-                    out[i] = cur
-                else:
-                    prev[i] = cur
-                    keep.append(j)
-            # freed for the next exponent call to reuse: 2-3 us a one-row call
-            del y, row
-            if not keep:
-                return out
-            if len(keep) < len(rows):
-                sqrt_a, col = sqrt_a[keep], col[keep]
-                rows = [rows[j] for j in keep]
+            y = exponent(v / sqrt_a)
+            np.subtract(neg_v2, y, out=y)
+            np.exp(y, out=y)
+            y *= two_v
+            cur = float(wts @ y)
+            # freed for the next exponent call to reuse
+            del y
+            if level and abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-300):
+                return cur
+            prev = cur
     raise QuadratureError(
-        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lams[rows[0]]:g} "
+        f"adaptive rule did not reach rel_tol={_REL_TOL:g} at lam={lam:g} "
         f"({_PANEL_NODES << _MAX_NODE_DOUBLINGS} nodes per panel)"
     )
 
@@ -222,7 +189,7 @@ def _expectation_rows(exponent, lams: list[float]) -> list[float]:
 _X_UNBOUNDED = 2.0**480
 
 
-def _exponent_g2(x, lam, alpha: float, tau: float):
+def _exponent_g2(x, lam: float, alpha: float, tau: float):
     """Exponent of the inverse-polynomial model's coverage integrand.
 
     Raw form is 2 pi lam tau (1+x^a)/((a-2) x^(a-2)) * H_b(y) with b = 1 - 2/a
@@ -238,33 +205,31 @@ def _exponent_g2(x, lam, alpha: float, tau: float):
     K = 2 pi lam tau/(a-2), F = specfun.hyf_series, and
     (1+x^a) D^(-b) = (1+x^a)^(2/a) (tau + u)^(-b).  Where x^a overflows,
     u = 0 and (1+x^a)^(2/a) = x^2 in double precision, so no alpha
-    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x is an
-    array (not 0-d) of distances x >= 0, on which the branch choice relies;
-    lam is one density, or densities that broadcast to x's shape, such as a
-    column for rows of nodes.  Every node's value is that of its density
-    alone.  Each pass writes into an array the call owns; x is only read.
+    overflows; past _X_UNBOUNDED the exponent is c1 v^2 instead.  x is a
+    1-d array of distances x >= 0, on which the branch choice relies, and
+    lam one density.  Each pass writes into an array the call owns; x is
+    only read.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         return np.empty_like(x)
     if x.max() > _X_UNBOUNDED:
         huge = x > _X_UNBOUNDED
-        lam = np.broadcast_to(lam, x.shape)
         out = np.empty_like(x)
-        out[~huge] = _exponent_g2(x[~huge], lam[~huge], alpha, tau)
-        v = x[huge] * np.sqrt(math.pi * lam[huge])
+        out[~huge] = _exponent_g2(x[~huge], lam, alpha, tau)
+        v = x[huge] * math.sqrt(math.pi * lam)
         out[huge] = derived_constants(alpha, tau).c1 * (v * v)
         return out
     b = specfun.hyf_shapes(alpha)[0]
     k = 2.0 * math.pi * lam * tau / (alpha - 2.0)
 
-    def near(k, x2, w, w_max):
+    def near(x2, w, w_max):
         # k/(1+tau) x^2 F(b+1; w), in x2's array
         x2 *= k / (1.0 + tau)
         x2 *= specfun._hyf_series(w, b + 1.0, w_max)
         return x2
 
-    def far(k, x, grow, tau_u, w, w_min, overflowed):
+    def far(x, grow, tau_u, w, w_min, overflowed):
         # grow holds 1 + x^a and takes the result, tau_u takes (tau + u)^-b,
         # and w takes 1 - w and then x^2
         np.subtract(1.0, w, out=w)
@@ -298,25 +263,22 @@ def _exponent_g2(x, lam, alpha: float, tau: float):
         tau_u += tau
         w = np.divide(tau_u, 1.0 + tau)
         # w, like u, is smallest at the smallest u
-        return far(k, x, grow, tau_u, w, (tau + u_min) / (1.0 + tau), not u_min > 0.0)
+        return far(x, grow, tau_u, w, (tau + u_min) / (1.0 + tau), not u_min > 0.0)
     tau_u += tau
     w = np.divide(tau_u, 1.0 + tau)
     is_near = w <= 0.5
     n_near = int(np.count_nonzero(is_near))
     if n_near == x.size:
-        return near(k, np.multiply(x, x, out=grow), w, float(w.max()))
+        return near(np.multiply(x, x, out=grow), w, float(w.max()))
     if not n_near:
-        return far(k, x, grow, tau_u, w, float(w.min()), False)
+        return far(x, grow, tau_u, w, float(w.min()), False)
     is_far = ~is_near
-    k = np.broadcast_to(k, x.shape)
     w_far = w[is_far]
-    out_far = far(k[is_far], x[is_far], grow[is_far], tau_u[is_far], w_far,
-                  float(w_far.min()), False)
+    out_far = far(x[is_far], grow[is_far], tau_u[is_far], w_far, float(w_far.min()), False)
     x_near, w_near = x[is_near], w[is_near]
     # the far nodes' values of grow were gathered above, so its array takes
     # the result
-    grow[is_near] = near(k[is_near], np.multiply(x_near, x_near, out=x_near), w_near,
-                         float(w_near.max()))
+    grow[is_near] = near(np.multiply(x_near, x_near, out=x_near), w_near, float(w_near.max()))
     grow[is_far] = out_far
     return grow
 
@@ -436,8 +398,7 @@ def cp_g2_upper(cfg: NetworkConfig) -> CpValue:
 def coverage_curves(model: PathlossModel) -> tuple:
     """The model's coverage curves (exact, lower, upper), None where it has
     none; looked up at each call, so a wrapper put in this namespace is used
-    by cp_for_model (coverage_curve's g2 batch goes around cp_g2).  A model
-    that is not a PathlossModel raises TypeError."""
+    by cp_for_model.  A model that is not a PathlossModel raises TypeError."""
     if model is PathlossModel.UNBOUNDED:
         return cp_upm, None, None
     if model is PathlossModel.BOUNDED_G1:
@@ -460,44 +421,11 @@ def cp_for_model(cfg: NetworkConfig, model: PathlossModel) -> CpValue:
 
 def coverage_curve(model: PathlossModel, alpha: float, tau: float, lams) -> list[CpValue]:
     """cp_for_model(NetworkConfig(lam, alpha, tau), model) at each density
-    of a 1-d sequence, bit for bit and in order, or the failure of the first
-    density that fails alone.
-
-    The closed forms and the refusal of min(1, d^-alpha) go through
-    cp_for_model one density at a time.  g2 goes around cp_g2: a chunk of a
-    few densities is one call of the quadrature engine that cp_g2 calls
-    with one.  The engine raises the QuadratureError of a chunk's first
-    density that does not converge, as cp_g2 raises it alone; a chunk that
-    fails otherwise (an overflow, or an invalid density) goes through cp_g2
-    one density at a time, where NetworkConfig refuses an invalid one.
-    """
+    of a 1-d sequence, in order; the first density that fails raises."""
     grid = np.asarray(lams, dtype=float)
     if grid.ndim != 1 or not grid.size:
         raise ValueError("lams must be a non-empty 1-d sequence of densities")
-    if model is not PathlossModel.BOUNDED_G2:
-        return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in grid.tolist()]
-    # alpha, tau and the first density as its configuration checks them
-    cfg = NetworkConfig(float(grid[0]), alpha, tau)
-
-    def exponent(x, lam):
-        return _exponent_g2(x, lam, cfg.alpha, cfg.tau)
-
-    # one float per density until the last chunk, so that the results add
-    # little to the peak of a chunk's exponent call
-    vals = np.empty_like(grid)
-    for start in range(0, grid.size, _CURVE_CHUNK):
-        chunk = grid[start:start + _CURVE_CHUNK].tolist()
-        try:
-            got = _expectation_rows(exponent, chunk)
-        except QuadratureError:
-            # the chunk's first density that did not converge, as alone
-            raise
-        except Exception:
-            # an overflow or an invalid density: each density of the chunk
-            # alone, in order, so that the first to fail raises as alone
-            got = [cp_g2(NetworkConfig(lam, alpha, tau)).raw for lam in chunk]
-        vals[start:start + len(chunk)] = got
-    return [_cp(val, "quadrature") for val in vals.tolist()]
+    return [cp_for_model(NetworkConfig(lam, alpha, tau), model) for lam in grid.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -563,31 +491,23 @@ def golden_section_max(fn, lo: float, hi: float, rel_tol: float = _ARGMAX_REL_TO
     spacing of floats near log(lam*), where the search stops; rel_tol must
     be positive and finite.  A coarse scan first brackets the peak; a
     maximum sitting on a bracket edge (monotone objective) raises
-    BracketError, and so does a constant one.
+    BracketError, and so does a constant one.  A NaN, which the search
+    would compare as a number, raises a FloatingPointError at the first
+    density, of the scan and then the steps, where fn is NaN.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
-    grid = _scan_grid(lo, hi)
-    return _golden_section(fn, grid, [fn(g) for g in grid], rel_tol)
-
-
-def _scan_grid(lo: float, hi: float):
-    """The densities of the coarse scan over a bracket."""
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
-    return np.geomspace(lo, hi, _SCAN_POINTS)
 
-
-def _golden_section(fn, grid, scan: list[float], rel_tol: float) -> float:
-    """golden_section_max from fn's values on the scan grid.  A NaN, which
-    the search would compare as a number, raises a FloatingPointError at
-    the first density, of the scan and then the steps, where fn is NaN."""
     def checked(lam, val):
         if math.isnan(val):
             raise FloatingPointError(f"objective is NaN at lambda={lam:g} BS/m^2")
         return val
 
-    scan = list(map(checked, grid.tolist(), scan))
+    # the whole scan first, so that a failure of fn comes before a NaN
+    grid = np.geomspace(lo, hi, _SCAN_POINTS)
+    scan = list(map(checked, grid.tolist(), [fn(g) for g in grid]))
     if min(scan) == max(scan):
         raise BracketError(f"objective is constant on the bracket, {scan[0]:g} at every point")
     imax = int(np.argmax(scan))
@@ -638,11 +558,7 @@ def optimal_density_numeric(cfg_template: NetworkConfig, model: PathlossModel,
         cfg = NetworkConfig(lam, alpha, tau, p_bs)
         return ase(cfg, cp_for_model(cfg, model)).value
 
-    # the scan reads one coverage curve; each golden-section step is one density
-    grid = _scan_grid(*bracket)
-    scan = [ase(NetworkConfig(lam, alpha, tau, p_bs), cp).value
-            for lam, cp in zip(grid.tolist(), coverage_curve(model, alpha, tau, grid))]
-    return _golden_section(objective, grid, scan, _ARGMAX_REL_TOL)
+    return golden_section_max(objective, *bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +625,10 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
     dc = derived_constants(alpha, tau)
     lam0 = optimal_density_closed(alpha, tau)
     if grid[-1] < 10.0 * lam0:
+        need = (f"needs >= {10.0 * lam0:g}" if 10.0 * lam0 < math.inf
+                else f"10 lambda0 = 10 x {lam0:g} lies past the float range")
         raise ValueError(
-            f"grid max {grid[-1]:g} does not reach the large-density regime "
-            f"(needs >= {10.0 * lam0:g})"
-        )
+            f"grid max {grid[-1]:g} does not reach the large-density regime ({need})")
     se = spectral_efficiency(tau)
     beta = _g2_tail_gain(alpha, dc.c1)
     q_max = _Q_ROUNDING * (0.5 / (1.0 + 0.5 / beta))  # beta/(1+2 beta), no overflow

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -99,6 +100,18 @@ def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -
             # wherever d*d is a normal float
             np.power(np.add(np.sqrt(d2, out=out), 1.0, out=out), -alpha, out=out)
             return out
+        subnormal = None
+        if model is PathlossModel.UNBOUNDED and d2.size and d2.min() < sys.float_info.min:
+            # from a subnormal d^2, numpy's 1/(d^2)^(a/2) can miss the
+            # law's (a + 4) half-ulp bound, by an amount that depends on
+            # the SIMD loop numpy runs; libm's d2^(-a/2) stays within it
+            subnormal = (0.0 < d2) & (d2 < sys.float_info.min)
+            exact = []
+            for v in d2[subnormal].tolist():
+                try:
+                    exact.append(math.pow(v, -0.5 * alpha))
+                except OverflowError:
+                    exact.append(math.inf)
         # d^a = (d^2)^(a/2), which numpy squares at a = 4
         np.power(d2, 0.5 * alpha, out=out)
         if model is PathlossModel.BOUNDED_G2:
@@ -106,7 +119,10 @@ def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -
         elif model is PathlossModel.MIN_BOUNDED:
             # min(1, d^-a) = 1/max(1, d^a)
             np.maximum(out, 1.0, out=out)
-        return np.divide(1.0, out, out=out)
+        np.divide(1.0, out, out=out)
+        if subnormal is not None:
+            out[subnormal] = exact
+        return out
 
 
 @dataclass(frozen=True)

@@ -441,33 +441,20 @@ class TestCpG2:
         (100.0, 1.0, [0.3, 30.0]),
         # and with the near nodes of a small density
         (4.0, 1.0, [1e-8, 0.3, 30.0]),
-        # every node far by tau, x^100 overflowing in the 1e-8 row, and a
-        # row past x = 2^480
+        # every node far by tau, x^100 overflowing at 1e-8, and nodes past
+        # x = 2^480
         (100.0, 10.0, [1e-320, 1e-8, 0.3, 30.0]),
         (100.0, 0.1, [1e-320, 1e-8, 0.3, 30.0]),
     ], ids=["tau-1-far", "tau-1-far-alpha-100", "tau-1-mixed", "overflow-far",
             "overflow-near"])
-    def test_exponent_over_rows_equals_the_masks_row_by_row(self, alpha, tau, lams):
-        lams = np.array(lams)
+    def test_exponent_at_each_density_equals_the_masks(self, alpha, tau, lams):
         v = analytic._origin_panel_rule(48)[0]
-        x = v / np.sqrt(math.pi * lams)[:, None]
-        got = analytic._exponent_g2(x, lams[:, None], alpha, tau)
-        for row, lam, values in zip(x, lams.tolist(), got):
-            if row.max() > analytic._X_UNBOUNDED:
+        for lam in lams:
+            x = v / math.sqrt(math.pi * lam)
+            if x.max() > analytic._X_UNBOUNDED:
                 continue
-            assert values.tobytes() == exponent_g2_reference(row, lam, alpha, tau).tobytes()
-
-    @pytest.mark.parametrize("alpha, tau", [(4.0, 0.1), (4.0, 1.0), (4.0, 10.0), (100.0, 0.1),
-                                            (100.0, 10.0)])
-    def test_exponent_over_rows_of_densities_is_that_of_each_row(self, alpha, tau):
-        # rows past x = 2^480 (1e-320), with near and far nodes (0.3), and
-        # of far nodes only (30), each at its own density
-        lams = np.array([1e-320, 0.3, 30.0])
-        v = analytic._origin_panel_rule(24)[0]
-        x = v / np.sqrt(math.pi * lams)[:, None]
-        got = analytic._exponent_g2(x, lams[:, None], alpha, tau)
-        for row, lam, values in zip(x, lams.tolist(), got):
-            assert values.tobytes() == analytic._exponent_g2(row, lam, alpha, tau).tobytes()
+            got = analytic._exponent_g2(x, lam, alpha, tau)
+            assert got.tobytes() == exponent_g2_reference(x, lam, alpha, tau).tobytes()
 
     def test_threshold_to_zero(self):
         assert cp_g2(cfg_at(0.3, tau=1e-12)).value == pytest.approx(1.0, abs=1e-9)
@@ -668,9 +655,12 @@ class TestOptimalDensity:
             exact = mpmath.mpf(2) ** alpha / (mpmath.pi * derived_constants(alpha, tau).c_hat)
             assert abs(star - exact) <= 2 * math.ulp(star)
         # the envelope's tail, 10 times the optimum, lies past the float
-        # range, so no finite grid reaches it
-        with pytest.raises(ValueError, match="does not reach the large-density regime"):
+        # range, so no finite grid reaches it, and the message says so
+        with pytest.raises(ValueError) as info:
             scaling_envelope_check(alpha, tau, [1.0, 1.7e308])
+        assert str(info.value) == (
+            f"grid max 1.7e+308 does not reach the large-density regime "
+            f"(10 lambda0 = 10 x {star:g} lies past the float range)")
 
     def test_closed_form_overflow_is_refused(self):
         # 2^1030/(pi c_hat) is 4.0e309 at tau = 1e300
@@ -942,46 +932,38 @@ class TestCoverageCurve:
            alpha=st.floats(2.0, 30.0, exclude_min=True),
            tau_db=st.floats(-10.0, 30.0),
            lams=st.lists(st.one_of(log_uniform(-320.0, 3.0), log_uniform(-6.0, 3.0)),
-                         min_size=1, max_size=40).map(sorted),
-           chunk=st.sampled_from([1, 3, 4, 23]))
-    # a quadrature failure before an overflow, in the second chunk of three
-    # and in the one chunk
+                         min_size=1, max_size=40).map(sorted))
+    # a quadrature failure before an overflow
     @example(model=PathlossModel.BOUNDED_G2, alpha=100.0, tau_db=30.0,
-             lams=[0.01, 0.1, 1.0, 6.31, 1e308], chunk=3)
-    @example(model=PathlossModel.BOUNDED_G2, alpha=100.0, tau_db=30.0,
-             lams=[0.01, 0.1, 1.0, 6.31, 1e308], chunk=23)
-    def test_equals_cp_for_model_at_each_density(self, model, alpha, tau_db, lams, chunk):
-        # every density keeps the bits of its own call whatever the chunk
-        # it shares, and a failing grid raises as its first failing density
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analytic, "_CURVE_CHUNK", chunk)
-            assert_curve_is_per_density(model, alpha, 10.0 ** (tau_db / 10.0), lams)
+             lams=[0.01, 0.1, 1.0, 6.31, 1e308])
+    def test_equals_cp_for_model_at_each_density(self, model, alpha, tau_db, lams):
+        # every density keeps the bits of its own call, and a failing grid
+        # raises as its first failing density
+        assert_curve_is_per_density(model, alpha, 10.0 ** (tau_db / 10.0), lams)
 
     @pytest.mark.parametrize("model", CURVE_MODELS, ids=lambda m: m.value)
     @pytest.mark.parametrize("alpha, tau, lams", [
-        # x past 2^480 at 1e-320 in one chunk with near and mixed nodes
+        # x past 2^480 at 1e-320 beside near and mixed nodes
         (4.0, 0.1, [1e-320, 0.3]),
         (4.0, 0.1, [1e-320, 1e-300, 1e-3, 0.3]),
-        # rows that converge at 48 nodes beside rows that need 96, and 192
+        # densities that converge at 48 nodes beside ones that need 96, and 192
         (30.0, 10.0, [1.0, 10.0, 31.622776601683793, 3.0]),
         (30.0, 1000.0, [0.1, 10.0, 100.0]),
-        # grid lengths about the chunk edge
+        # short grids of several lengths
         (4.0, 10.0, np.geomspace(1e-6, 10.0, 3)),
         (4.0, 10.0, np.geomspace(1e-6, 10.0, 4)),
         (4.0, 10.0, np.geomspace(1e-6, 10.0, 5)),
         (3.0, 1.0, np.geomspace(1e-6, 10.0, 8)),
         (3.0, 1.0, np.geomspace(1e-6, 10.0, 9)),
         # an earlier density's quadrature failure before a later one's
-        # overflow, in one chunk, and after computed densities
+        # overflow, first and after computed densities
         (100.0, 1000.0, [6.31, 1e308]),
         (100.0, 1000.0, [0.01, 0.1, 6.31, 1e308, 1e-3]),
-        # two failing densities in one chunk raise the first one's message
+        # two failing densities raise the first one's message
         (100.0, 1000.0, [7.0, 6.31]),
         (100.0, 1000.0, [0.01, 6.31, 7.0, 8.0]),
-        # invalid densities raise as NetworkConfig does, in grid order: g2
-        # sends the chunk that holds one through cp_g2 a density at a time,
-        # also in a later chunk, after computed ones, and where the chunk's
-        # engine call raises an OverflowError at inf
+        # invalid densities raise as NetworkConfig does, in grid order:
+        # alone, after computed ones, and after a quadrature failure
         (4.0, 10.0, [0.0]),
         (4.0, 10.0, [1e-3, math.nan]),
         (100.0, 1000.0, [6.31, math.nan]),
@@ -999,35 +981,29 @@ class TestCoverageCurve:
         with pytest.raises(ValueError, match="non-empty 1-d"):
             analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 4, 23])
     @pytest.mark.parametrize("lams", [
         [1e-3, 0.01, 0.1, 0.3, 1.0, -1.0],
         [1e-3, 0.3, math.inf],
         [math.nan, 0.3],
     ], ids=["negative-last", "inf-last", "nan-first"])
-    def test_invalid_density_raises_as_the_loop_in_any_chunk(self, lams, chunk):
-        # alone in its chunk, last in a chunk after computed ones, or in
-        # the one chunk: NetworkConfig's message for it, in grid order
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analytic, "_CURVE_CHUNK", chunk)
-            assert_curve_is_per_density(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
+    def test_invalid_density_raises_as_the_loop(self, lams):
+        # first, or after computed ones: NetworkConfig's message for it, in
+        # grid order
+        assert_curve_is_per_density(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
 
     def test_min_bounded_refused_as_cp_for_model(self):
         assert_curve_is_per_density(PathlossModel.MIN_BOUNDED, 4.0, 10.0, [1e-3, 0.3])
 
-    @pytest.mark.parametrize("lams, chunk, calls", [
-        # 6.30957 is the first to fail, last in its chunk of three, and
-        # its chunk's call raises it
-        (np.geomspace(0.01, 10.0, 16).tolist(), 3, 0),
-        (np.geomspace(0.01, 10.0, 16).tolist(), 23, 0),
-        # an overflow beside it fails the chunk's call, and every density
-        # of the chunk goes alone, in order, until 6.31 raises
-        ([0.01, 0.1, 6.31, 1e308], 4, 3),
-    ], ids=["scan", "one-chunk", "overflow"])
-    def test_failing_density_alone_raises_as_the_loop(self, lams, chunk, calls):
+    @pytest.mark.parametrize("lams", [
+        # 6.30957 is the first to fail
+        np.geomspace(0.01, 10.0, 16).tolist(),
+        # and here 6.31, before the overflow of the density after it
+        [0.01, 0.1, 6.31, 1e308],
+    ], ids=["scan", "overflow"])
+    def test_failing_density_alone_raises_as_the_loop(self, lams):
         # alpha 100 at 30 dB: a QuadratureError at the first density
-        # around 6.3, as the per-density loop raises it, with no chunk
-        # evaluated again
+        # around 6.3, as the per-density loop raises it, with cp_g2 called
+        # once at each density up to it and at none after it
         alpha, tau = 100.0, 1000.0
         expected, failure = per_density(PathlossModel.BOUNDED_G2, alpha, tau, lams)
         assert failure is not None and failure[0] is analytic.QuadratureError
@@ -1038,33 +1014,11 @@ class TestCoverageCurve:
             return cp_g2(cfg)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analytic, "_CURVE_CHUNK", chunk)
             mp.setattr(analytic, "cp_g2", counted)
             with pytest.raises(analytic.QuadratureError) as info:
                 analytic.coverage_curve(PathlossModel.BOUNDED_G2, alpha, tau, lams)
         assert (type(info.value), str(info.value)) == failure
-        assert len(seen) == calls
-        if calls:
-            assert seen[-1] == lams[len(expected)]
-
-    def test_peak_memory_does_not_grow_with_the_grid(self):
-        # tracemalloc sees numpy's buffers; a curve of 400 densities, three
-        # repeated, peaks as one chunk of those three does, give or take its
-        # results, where one unchunked exponent call would hold 133 times
-        # the nodes
-        import tracemalloc
-        chunk = np.geomspace(1e-3, 1.0, 3)
-
-        def peak(lams):
-            analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
-            tracemalloc.start()
-            try:
-                analytic.coverage_curve(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(np.resize(chunk, 400)) <= 1.1 * peak(chunk)
+        assert seen == lams[:len(expected) + 1]
 
     @pytest.mark.parametrize("alpha, tau", [(4.0, 10.0), (3.0, 10.0), (3.0, 1.0)])
     def test_optimal_density_keeps_its_bits(self, alpha, tau):

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import math
 import os
@@ -86,7 +88,7 @@ NUMERICAL_FAILURES = [
     (["cp-sweep", "--model", "g2", "--lambda-min", "1e308",
       "--lambda-max", "1e308", "--points", "1"], "pi*lambda overflows"),
     # the first density's quadrature failure, not the overflow of the
-    # second, which analytic.coverage_curve would put in the same call
+    # second
     (["cp-sweep", "--model", "g2", "--alpha", "100", "--tau-db", "30",
       "--lambda-min", "6.31", "--lambda-max", "1e308", "--points", "2"],
      "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.31 "
@@ -95,7 +97,7 @@ NUMERICAL_FAILURES = [
     (["cp-sweep", "--model", "g2", "--alpha", "2000", "--lambda-min", "1e-6", "--points", "9"],
      "beta = 2^(alpha-2) c1 overflows at alpha=2000"),
     (["optimal-density", "--lambda-min", "1e-6", "--lambda-max", "1.7e308"], "overflows"),
-    # the g2 scan's last chunk, 1e308 alone, goes through cp_g2 alone
+    # the g2 scan's last density, 1e308
     (["optimal-density", "--model", "g2", "--lambda-max", "1e308"],
      "(OverflowError): pi*lambda overflows at lambda=1e+308 BS/m^2\n"),
     (["optimal-density", "--alpha", "2000"], "2^alpha/(pi c_hat) overflows at alpha=2000"),
@@ -110,11 +112,11 @@ NUMERICAL_FAILURES = [
     # every g1 coverage underflows at 3000 dB: ASE is 0 over the bracket
     (["optimal-density", "--model", "g1", "--tau-db", "3000"],
      "objective is constant on the bracket"),
-    # the scan's chunk holding 6.30957 fails in its one engine call
+    # the scan fails at 6.30957
     (["optimal-density", "--model", "g2", "--alpha", "100", "--tau-db", "30",
       "--lambda-min", "0.01", "--lambda-max", "10"],
      "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.30957 "),
-    # the same failure as a one-row call of the engine
+    # the same failure at one density
     (["cp-sweep", "--model", "g2", "--alpha", "100", "--tau-db", "30",
       "--lambda-min", "6.31", "--lambda-max", "6.31", "--points", "1"],
      "(QuadratureError): adaptive rule did not reach rel_tol=1e-09 at lam=6.31 "),
@@ -280,6 +282,28 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as err:
             main(["cp-sweep", "--model", "bogus"])
         assert err.value.code == 2
+
+
+def test_exit_3_classes_are_the_library_failures():
+    # main maps every ArithmeticError and RuntimeError to exit 3, numerical
+    # failure; a ZeroDivisionError or NotImplementedError raised in the
+    # package would read as a numerical limit, not as the bug it is
+    allowed = {RuntimeError: {analytic.QuadratureError, analytic.BracketError},
+               ArithmeticError: {OverflowError, FloatingPointError}}
+    raised = set()
+    for path in sorted(Path(densecov.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"densecov.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                cls = eval(ast.unparse(exc), vars(module))
+                assert isinstance(cls, type) and issubclass(cls, BaseException), (path, exc)
+                raised.add(cls)
+                for family, members in allowed.items():
+                    if issubclass(cls, family):
+                        assert cls in members, (path.name, node.lineno, cls)
+    # the walk sees every member
+    assert set().union(*allowed.values()) <= raised
 
 
 @pytest.mark.parametrize("argv", SUCCESSES)

@@ -147,9 +147,6 @@ class TestGainFromSquaredDistance:
             d = d[d >= math.sqrt(np.finfo(float).tiny)]
         _assert_matches_distance_form(model, alpha, d)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="d*d is subnormal, so d^2 carries up to 4 half-ulps "
-                              "before the power")
     @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.000001])
     def test_upm_from_a_subnormal_square(self, alpha):
         # d^-alpha is normal here only for alpha within about 1e-5 of 2
