@@ -447,7 +447,7 @@ class TestCpG2:
         (100.0, 0.1, [1e-320, 1e-8, 0.3, 30.0]),
     ], ids=["tau-1-far", "tau-1-far-alpha-100", "tau-1-mixed", "overflow-far",
             "overflow-near"])
-    def test_exponent_at_each_density_equals_the_masks(self, alpha, tau, lams):
+    def test_exponent_over_rows_equals_the_masks_row_by_row(self, alpha, tau, lams):
         v = analytic._origin_panel_rule(48)[0]
         for lam in lams:
             x = v / math.sqrt(math.pi * lam)
@@ -991,6 +991,18 @@ class TestCoverageCurve:
         # grid order
         assert_curve_is_per_density(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
 
+    @pytest.mark.parametrize("computed", [0, 1, 3, 23])
+    @pytest.mark.parametrize("bad, later", [
+        (-1.0, math.nan),
+        (math.inf, -1.0),
+        (math.nan, math.inf),
+    ], ids=["negative", "inf", "nan"])
+    def test_first_invalid_density_raises_before_a_later_one(self, bad, later, computed):
+        # after some computed densities, the first invalid one raises its
+        # own message, not that of a different invalid density after it
+        lams = np.geomspace(1e-3, 1.0, computed).tolist() + [bad, 0.3, later]
+        assert_curve_is_per_density(PathlossModel.BOUNDED_G2, 4.0, 10.0, lams)
+
     def test_min_bounded_refused_as_cp_for_model(self):
         assert_curve_is_per_density(PathlossModel.MIN_BOUNDED, 4.0, 10.0, [1e-3, 0.3])
 
@@ -999,7 +1011,9 @@ class TestCoverageCurve:
         np.geomspace(0.01, 10.0, 16).tolist(),
         # and here 6.31, before the overflow of the density after it
         [0.01, 0.1, 6.31, 1e308],
-    ], ids=["scan", "overflow"])
+        # and here 6.31, before 7.0, which fails as well
+        [0.01, 6.31, 7.0],
+    ], ids=["scan", "overflow", "two-failing"])
     def test_failing_density_alone_raises_as_the_loop(self, lams):
         # alpha 100 at 30 dB: a QuadratureError at the first density
         # around 6.3, as the per-density loop raises it, with cp_g2 called

@@ -153,6 +153,29 @@ class TestGainFromSquaredDistance:
         d = np.geomspace(7.5e-155, 1.5e-154, 400)
         _assert_matches_distance_form(PathlossModel.UNBOUNDED, alpha, d)
 
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.000001, 4.0])
+    def test_upm_takes_subnormal_squares_from_libm_beside_normal_ones(self, alpha):
+        # in one array, each subnormal d^2 reads libm's d2^(-a/2), inf where
+        # that overflows, and each normal d^2 keeps the bits of a call
+        # without subnormal entries; numpy's 1/(d^2)^(a/2) differs from
+        # libm at about half of the squares of the previous test's band
+        tiny = np.finfo(float).tiny
+        d2 = np.concatenate([[tiny, 1e-300], np.geomspace(7.5e-155, 1.5e-154, 16) ** 2,
+                             [5e-324, 1.0, 1e300]])
+        got = _gain(PathlossModel.UNBOUNDED, alpha, d2, np.empty_like(d2))
+        is_normal = d2 >= tiny
+        normal = d2[is_normal]
+        assert got[is_normal].tobytes() == _gain(PathlossModel.UNBOUNDED, alpha, normal,
+                                                 np.empty_like(normal)).tobytes()
+        expected = []
+        for v in d2[~is_normal].tolist():
+            try:
+                expected.append(math.pow(v, -0.5 * alpha))
+            except OverflowError:
+                expected.append(math.inf)
+        assert got[~is_normal].tolist() == expected
+        assert math.inf in expected
+
     @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.5, 3.0, 4.0, 6.0, 100.0, 1e4])
     def test_g1_is_the_distance_form_bit_for_bit(self, alpha):
         # sqrt(d*d) == d wherever d*d is normal, so (1 + d)^-alpha comes out
