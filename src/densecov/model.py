@@ -78,7 +78,23 @@ def pathloss_gain(model: PathlossModel, alpha: float, d):
         raise ValueError("unbounded pathloss is singular at d = 0")
     with np.errstate(over="ignore"):
         d2 = np.multiply(arr, arr, out=np.empty_like(arr))
+    subnormal = None
+    if model is PathlossModel.UNBOUNDED and d2.size and d2.min() < sys.float_info.min:
+        # from a subnormal d^2, numpy's 1/(d^2)^(a/2) can miss the law's
+        # (a + 4) half-ulp bound, by an amount that depends on the SIMD loop
+        # numpy runs; libm's d2^(-a/2) stays within it.  A simulated d^2 is
+        # subnormal with odds of about pi lambda 2e-308, so the simulator's
+        # own _gain calls do without this pass
+        subnormal = (0.0 < d2) & (d2 < sys.float_info.min)
+        exact = []
+        for v in d2[subnormal].tolist():
+            try:
+                exact.append(math.pow(v, -0.5 * alpha))
+            except OverflowError:
+                exact.append(math.inf)
     out = _gain(model, alpha, d2, d2)
+    if subnormal is not None:
+        out[subnormal] = exact
     return float(out) if arr.ndim == 0 else out
 
 
@@ -100,18 +116,6 @@ def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -
             # wherever d*d is a normal float
             np.power(np.add(np.sqrt(d2, out=out), 1.0, out=out), -alpha, out=out)
             return out
-        subnormal = None
-        if model is PathlossModel.UNBOUNDED and d2.size and d2.min() < sys.float_info.min:
-            # from a subnormal d^2, numpy's 1/(d^2)^(a/2) can miss the
-            # law's (a + 4) half-ulp bound, by an amount that depends on
-            # the SIMD loop numpy runs; libm's d2^(-a/2) stays within it
-            subnormal = (0.0 < d2) & (d2 < sys.float_info.min)
-            exact = []
-            for v in d2[subnormal].tolist():
-                try:
-                    exact.append(math.pow(v, -0.5 * alpha))
-                except OverflowError:
-                    exact.append(math.inf)
         # d^a = (d^2)^(a/2), which numpy squares at a = 4
         np.power(d2, 0.5 * alpha, out=out)
         if model is PathlossModel.BOUNDED_G2:
@@ -119,10 +123,7 @@ def _gain(model: PathlossModel, alpha: float, d2: np.ndarray, out: np.ndarray) -
         elif model is PathlossModel.MIN_BOUNDED:
             # min(1, d^-a) = 1/max(1, d^a)
             np.maximum(out, 1.0, out=out)
-        np.divide(1.0, out, out=out)
-        if subnormal is not None:
-            out[subnormal] = exact
-        return out
+        return np.divide(1.0, out, out=out)
 
 
 @dataclass(frozen=True)

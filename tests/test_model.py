@@ -119,12 +119,16 @@ def _distances():
                            rng.uniform(0.25, 4.0, 200), np.exp(rng.uniform(-0.1, 0.1, 200))])
 
 
-def _assert_matches_distance_form(model, alpha, d):
-    """_gain(d*d) within (alpha + 4) half-ulps of the distance form, wherever
-    both are normal floats."""
+def _gain_from_square(model, alpha, d):
     with np.errstate(over="ignore"):
         d2 = d * d
-    got = _gain(model, alpha, d2, np.empty_like(d2))
+    return _gain(model, alpha, d2, np.empty_like(d2))
+
+
+def _assert_matches_distance_form(model, alpha, d, gain=_gain_from_square):
+    """gain(model, alpha, d), by default _gain(d*d), within (alpha + 4)
+    half-ulps of the distance form, wherever both are normal floats."""
+    got = gain(model, alpha, d)
     ref = np.array([gain_distance_form(model.value, alpha, x) for x in d])
     tiny = np.finfo(float).tiny
     normal = (tiny <= got) & (got < math.inf) & (tiny <= ref) & (ref < math.inf)
@@ -149,21 +153,24 @@ class TestGainFromSquaredDistance:
 
     @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.000001])
     def test_upm_from_a_subnormal_square(self, alpha):
-        # d^-alpha is normal here only for alpha within about 1e-5 of 2
+        # d^-alpha is normal here only for alpha within about 1e-5 of 2;
+        # pathloss_gain, which forms d*d itself, takes it from libm there
         d = np.geomspace(7.5e-155, 1.5e-154, 400)
-        _assert_matches_distance_form(PathlossModel.UNBOUNDED, alpha, d)
+        _assert_matches_distance_form(PathlossModel.UNBOUNDED, alpha, d, pathloss_gain)
 
     @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.000001, 4.0])
     def test_upm_takes_subnormal_squares_from_libm_beside_normal_ones(self, alpha):
         # in one array, each subnormal d^2 reads libm's d2^(-a/2), inf where
-        # that overflows, and each normal d^2 keeps the bits of a call
-        # without subnormal entries; numpy's 1/(d^2)^(a/2) differs from
-        # libm at about half of the squares of the previous test's band
+        # that overflows, and each normal d^2 keeps the bits of _gain;
+        # numpy's 1/(d^2)^(a/2) differs from libm at about half of the
+        # squares of the previous test's band
         tiny = np.finfo(float).tiny
-        d2 = np.concatenate([[tiny, 1e-300], np.geomspace(7.5e-155, 1.5e-154, 16) ** 2,
-                             [5e-324, 1.0, 1e300]])
-        got = _gain(PathlossModel.UNBOUNDED, alpha, d2, np.empty_like(d2))
+        d = np.sqrt(np.concatenate([[tiny, 1e-300], np.geomspace(7.5e-155, 1.5e-154, 16) ** 2,
+                                    [5e-324, 1.0, 1e300]]))
+        got = pathloss_gain(PathlossModel.UNBOUNDED, alpha, d)
+        d2 = d * d
         is_normal = d2 >= tiny
+        assert 0 < is_normal.sum() < d2.size and np.all(d2 > 0.0)
         normal = d2[is_normal]
         assert got[is_normal].tobytes() == _gain(PathlossModel.UNBOUNDED, alpha, normal,
                                                  np.empty_like(normal)).tobytes()
