@@ -473,6 +473,9 @@ def optimal_density_closed(alpha: float, tau: float) -> float:
     """Density maximizing the upper envelope: 2^a/(pi c_hat), the stationary
     point of lam e^(-kappa_upper lam)."""
     dc = derived_constants(alpha, tau)
+    # after the checks, so that a string stays their error; a float32 alpha
+    # would take 2^alpha in float32
+    alpha, tau = float(alpha), float(tau)
     try:
         # 2^a alone overflows from a = 1024, where 2^a/(pi c_hat) may not
         lam = (2.0**alpha / (math.pi * dc.c_hat) if alpha < 1024.0
@@ -623,6 +626,7 @@ def scaling_envelope_check(alpha: float, tau: float, lambda_grid) -> ScalingRepo
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("lambda_grid must be sorted ascending")
     dc = derived_constants(alpha, tau)
+    alpha, tau = float(alpha), float(tau)
     lam0 = optimal_density_closed(alpha, tau)
     if grid[-1] < 10.0 * lam0:
         need = (f"needs >= {10.0 * lam0:g}" if 10.0 * lam0 < math.inf

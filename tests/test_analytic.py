@@ -456,6 +456,17 @@ class TestCpG2:
             got = analytic._exponent_g2(x, lam, alpha, tau)
             assert got.tobytes() == exponent_g2_reference(x, lam, alpha, tau).tobytes()
 
+    @pytest.mark.parametrize("lam", [1e-6, 0.1, 3.0])
+    @pytest.mark.parametrize("alpha, tau", [(3.0, 1.0), (4.0, 1.0), (2.5, 0.1)])
+    def test_exponent_forms_no_subnormal(self, alpha, tau, lam):
+        # the far branch's series arguments 1 - w reach 2^-53 near x = 0,
+        # beside arguments near 1/2; in one loop their terms went subnormal
+        for nodes in (24, 48):
+            x = analytic._origin_panel_rule(nodes)[0] / math.sqrt(math.pi * lam)
+            with np.errstate(under="raise"):
+                got = analytic._exponent_g2(x, lam, alpha, tau)
+            assert got.tobytes() == exponent_g2_reference(x, lam, alpha, tau).tobytes()
+
     def test_threshold_to_zero(self):
         assert cp_g2(cfg_at(0.3, tau=1e-12)).value == pytest.approx(1.0, abs=1e-9)
 
@@ -784,6 +795,42 @@ class TestOptimalDensity:
     def test_min_bounded_rejected(self):
         with pytest.raises(UnsupportedPathlossError):
             optimal_density_numeric(cfg_at(1.0), PathlossModel.MIN_BOUNDED)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+A32 = np.float32(4.1)
+
+
+class TestFloat32Alpha:
+    """NumPy 2 keeps float32 where a float32 scalar meets a Python float;
+    a float32 alpha or tau must give what its float64 value gives."""
+
+    @pytest.mark.parametrize("tau", [10.0, 1e-300, 1e300, np.float32(10.0)])
+    def test_closed_optimal_density(self, tau):
+        got = outcome(optimal_density_closed, A32, tau)
+        assert type(got) is float
+        assert got == optimal_density_closed(float(A32), float(tau))
+
+    @pytest.mark.parametrize("tau, grid", [
+        (10.0, [1e-3, 1.0, 1e3]), (1e300, [1.0, 1e300]), (np.float32(10.0), [1e-3, 1.0, 1e3]),
+        # 10 lambda0 = 1.8e302 lies past the grid, which the check refuses
+        (1e-300, [1.0, 1e300])])
+    def test_scaling_report(self, tau, grid):
+        got = outcome(scaling_envelope_check, A32, tau, grid)
+        assert got == outcome(scaling_envelope_check, float(A32), float(tau), grid)
+        if isinstance(got, tuple):
+            assert got[0] is ValueError
+            return
+        floats = [got.lambda0, got.m, got.big_m] + [
+            v for p in got.points for v in (p.lower_ratio, p.upper_ratio, p.q2_over_q1)]
+        assert all(type(v) is float for v in floats)
 
 
 class TestScalingEnvelope:

@@ -194,8 +194,10 @@ class TestHypergeometric:
 
 
 class TestSeriesParity:
-    """hyf_series takes its term count from the largest argument; the sums
-    must equal, bit for bit, those of the loop that checks every term."""
+    """hyf_series takes its term count from the largest argument and, where
+    that count passes 18, sums the arguments below 2^-16 in a short loop of
+    their own, so that no term is a subnormal float; the sums must equal,
+    bit for bit, those of the loop that checks every term."""
 
     @pytest.mark.parametrize("top", [0.5, 0.1, 1e-3])
     def test_random_arguments_with_a_pinned_maximum(self, top):
@@ -220,6 +222,34 @@ class TestSeriesParity:
             assert got.tobytes() == hyf_series_reference(w, c).tobytes()
             assert got.tobytes() == specfun.hyf_series(w, c).tobytes()
 
+    @pytest.mark.parametrize("top", [0.5, 0.3, 0.2, 0.15])
+    def test_log_uniform_arguments_reach_the_short_loop(self, top):
+        # uniform draws almost never fall below the cut of 2^-16; these
+        # spread over 17 decades, shuffled with 0, 2^-53, the floats either
+        # side of the cut and the pinned maximum, so that both loops run in
+        # any order of their arguments
+        rng = np.random.default_rng(int(100 * top) + 16)
+        cut = specfun._SHORT_CUT
+        fixed = [0.0, 2.0**-53, math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0), top]
+        for _ in range(100):
+            w = 10.0 ** rng.uniform(-17.0, math.log10(top), int(rng.integers(1, 300)))
+            w = np.concatenate([np.minimum(w, top), fixed])
+            rng.shuffle(w)
+            w.flags.writeable = False
+            c = float(rng.uniform(1.0, 2.0))
+            ref = hyf_series_reference(w, c).tobytes()
+            assert specfun.hyf_series(w, c).tobytes() == ref
+            assert specfun._hyf_series(w, c, top).tobytes() == ref
+
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("top", [0.5, 0.3, 0.25, 0.2, 0.15])
+    def test_no_term_is_subnormal(self, top, c):
+        # from top = 0.2 on, one loop over both arguments would run 21 terms
+        # or more, and take 2^-53 below 2^-1022 by its 20th
+        with np.errstate(under="raise"):
+            got = specfun.hyf_series(np.array([2.0**-53, top]), c)
+        assert got.tobytes() == hyf_series_reference(np.array([2.0**-53, top]), c).tobytes()
+
     @pytest.mark.parametrize("c", [1.0, 1.2, 1.5, 1.9, 2.0])
     @pytest.mark.parametrize("w", [np.zeros(7), np.array([]), np.array([0.5]),
                                    np.array([0.3]), np.array([1e-300]),
@@ -236,6 +266,36 @@ class TestSeriesParity:
         for fn in (specfun.hyf_series, hyf_series_reference):
             with pytest.raises(ValueError, match="series argument"):
                 fn(np.array(w), 1.5)
+
+
+class TestFloat32Parameters:
+    """NumPy 2 keeps float32 where a float32 scalar meets a Python float, so
+    each public call converts its parameters and computes in double."""
+
+    A32 = np.float32(4.1)
+
+    @pytest.mark.parametrize("fn", [f1, f2, f3])
+    def test_functionals_compute_in_double(self, fn):
+        got = fn(0.5, self.A32)
+        assert type(got) is float
+        assert got == fn(0.5, float(self.A32))
+        x = np.array([0.0, 0.5, 2.0, 1e4])
+        arr = fn(x, self.A32)
+        assert arr.dtype == np.float64
+        assert arr.tobytes() == fn(x, float(self.A32)).tobytes()
+
+    def test_shapes_are_python_floats(self):
+        got = hyf_shapes(self.A32)
+        assert all(type(b) is float for b in got)
+        assert got == hyf_shapes(float(self.A32))
+
+    def test_hypergeometric_parameters(self):
+        b = np.float32(0.3)
+        assert hyf(0.5, b) == hyf(0.5, float(b))
+        assert type(hyf(0.5, b)) is float
+        w = np.array([0.0, 1e-9, 0.25, 0.5])
+        c = np.float32(1.3)
+        assert specfun.hyf_series(w, c).tobytes() == specfun.hyf_series(w, float(c)).tobytes()
 
 
 class TestMonotoneFunctionals:
